@@ -192,50 +192,33 @@ def _alg_report(n_max) -> ExperimentReport:
     return _exhaustive_report("splitting_game", n_max, probe)
 
 
-_SUITES = (
-    "prop1",
-    "prop2",
-    "divisibility",
-    "calibration",
-    "punc",
-    "et-closure",
-    "single-column",
-    "duality",
-    "refinement",
-    "alg",
-)
-
-
-def _run_suite(name, trials, seed, nmax):
-    if name == "prop1":
-        return run_prop1(trials, n_max=nmax or 8, seed=seed)
-    if name == "prop2":
-        return run_prop2(trials, n_max=nmax or 8, seed=seed)
-    if name == "divisibility":
-        return run_divisibility(trials, n_max=nmax or 8, seed=seed)
-    if name == "calibration":
-        return run_torus_calibration(trials, n_max=nmax or 6, seed=seed)
-    if name == "punc":
-        return run_punc_consistency(trials, n_max=nmax or 6, seed=seed)
-    if name == "et-closure":
-        return run_et_closure_covers(n_max=nmax or 6, seed=seed)
-    if name == "single-column":
-        return run_single_column_density(nmax or 6, trials, seed=seed)
-    if name == "duality":
-        return _duality_report(nmax or 6)
-    if name == "refinement":
-        return _refinement_report(nmax or 6)
-    return _alg_report(nmax or 6)
+# name -> (runner(trials, seed, n_max), default n_max, smallest n_max)
+_SUITES = {
+    "prop1": (lambda t, s, n: run_prop1(t, n_max=n, seed=s), 8, 2),
+    "prop2": (lambda t, s, n: run_prop2(t, n_max=n, seed=s), 8, 2),
+    "divisibility": (lambda t, s, n: run_divisibility(t, n_max=n, seed=s), 8, 2),
+    "calibration": (lambda t, s, n: run_torus_calibration(t, n_max=n, seed=s), 6, 2),
+    "punc": (lambda t, s, n: run_punc_consistency(t, n_max=n, seed=s), 6, 2),
+    "et-closure": (lambda t, s, n: run_et_closure_covers(n_max=n, seed=s), 6, 2),
+    "single-column": (lambda t, s, n: run_single_column_density(n, t, seed=s), 6, 1),
+    "duality": (lambda t, s, n: _duality_report(n), 6, 1),
+    "refinement": (lambda t, s, n: _refinement_report(n), 6, 1),
+    "alg": (lambda t, s, n: _alg_report(n), 6, 1),
+}
 
 
 def _cmd_verify(args, parser) -> int:
     if args.trials < 1:
         parser.error("--trials must be at least 1")
-    for name in args.suites:
+    names = args.suites or list(_SUITES)
+    for name in names:
         if name not in _SUITES:
             parser.error(
                 f"unknown suite {name!r} (choose from {', '.join(_SUITES)})"
             )
+        smallest = _SUITES[name][2]
+        if args.nmax is not None and args.nmax < smallest:
+            parser.error(f"--nmax must be at least {smallest} for {name}")
     if args.seed is not None:
         seed = args.seed
     else:
@@ -244,10 +227,11 @@ def _cmd_verify(args, parser) -> int:
             seed = int(raw)
         except ValueError:
             parser.error(f"GROBASIN_SEED must be an integer, got {raw!r}")
-    names = args.suites or list(_SUITES)
     all_passed = True
     for name in names:
-        report = _run_suite(name, args.trials, seed, args.nmax)
+        runner, default, _ = _SUITES[name]
+        nmax = default if args.nmax is None else args.nmax
+        report = runner(args.trials, seed, nmax)
         if args.json:
             print(report.to_json())
         else:

@@ -8,6 +8,7 @@ which is how ideals meet the combinatorics in the rest of the package.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +70,7 @@ def _nf_terms(terms, basis_data, key):
     work = dict(terms)
     remainder = {}
     while work:
-        exp = max(work, key=key)
+        exp = max(work, key=None if key is _lex_key else key)
         coeff = work.pop(exp)
         if coeff == 0:
             continue
@@ -92,12 +93,13 @@ def _nf_terms(terms, basis_data, key):
     return remainder
 
 
+def _lead(g, key):
+    # terms are kept lex-sorted, so the lex lead is the first term
+    return g.terms[0] if key is _lex_key else g.leading_under(key)
+
+
 def _basis_data(polys, key):
-    data = []
-    for g in polys:
-        lt, lc = g.leading_under(key)
-        data.append((lt, lc, g.terms))
-    return data
+    return [(*_lead(g, key), g.terms) for g in polys]
 
 
 def normal_form(f: Polynomial, basis, key=None) -> Polynomial:
@@ -111,58 +113,78 @@ def normal_form(f: Polynomial, basis, key=None) -> Polynomial:
     return Polynomial(_nf_terms(dict(f.terms), _basis_data(basis, key), key))
 
 
-def _spoly(f, g, key):
-    (lf, cf), (lg, cg) = f.leading_under(key), g.leading_under(key)
-    lcm = (max(lf[0], lg[0]), max(lf[1], lg[1]))
-    left = f.term_multiple((lcm[0] - lf[0], lcm[1] - lf[1]), 1 / cf)
-    right = g.term_multiple((lcm[0] - lg[0], lcm[1] - lg[1]), 1 / cg)
-    return left - right
+def _spoly(a, b, lcm):
+    # a, b: (lt, lc, terms) entries; the S-polynomial as a term dict
+    out = {}
+    for (lt, lc, terms), sign in ((a, 1), (b, -1)):
+        d1, d2 = lcm[0] - lt[0], lcm[1] - lt[1]
+        factor = sign / lc
+        for e, c in terms:
+            ne = (e[0] + d1, e[1] + d2)
+            out[ne] = out.get(ne, 0) + factor * c
+    return out
 
 
 def _buchberger(gens, key):
-    basis = [g for g in gens if not g.is_zero()]
+    """Buchberger's algorithm, normal selection strategy.
+
+    Each element's leading (exponent, coefficient) is computed once and
+    kept in `data`, the list _nf_terms divides by.  Pending pairs sit in a
+    heap keyed by (key(lcm), pair).  Pairs with coprime leads never enter
+    it and count as treated (product criterion).  A popped pair (i, j) is
+    skipped when some k has lt_k | lcm(i, j) and neither (i, k) nor (j, k)
+    is pending (chain criterion, as in the improved Buchberger algorithm
+    of Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, 2.10).
+    """
+    basis, data, heap, pending = [], [], [], set()
+
+    def add(g):
+        lt, lc = _lead(g, key)
+        i = len(data)
+        for j, (lj, _, _) in enumerate(data):
+            lcm = (max(lt[0], lj[0]), max(lt[1], lj[1]))
+            if lcm != (lt[0] + lj[0], lt[1] + lj[1]):
+                heapq.heappush(heap, (key(lcm), (i, j), lcm))
+                pending.add((i, j))
+        basis.append(g)
+        data.append((lt, lc, g.terms))
+
+    for g in gens:
+        if not g.is_zero():
+            add(g)
     if not basis:
         raise ValueError("ideal needs at least one nonzero generator")
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-
-    def lcm_of(i, j):
-        li = basis[i].leading_under(key)[0]
-        lj = basis[j].leading_under(key)[0]
-        return (max(li[0], lj[0]), max(li[1], lj[1]))
-
-    while pairs:
-        i, j = min(pairs, key=lambda p: (key(lcm_of(*p)), p))
-        pairs.remove((i, j))
-        li = basis[i].leading_under(key)[0]
-        lj = basis[j].leading_under(key)[0]
-        lcm = (max(li[0], lj[0]), max(li[1], lj[1]))
-        if lcm == (li[0] + lj[0], li[1] + lj[1]):
+    while heap:
+        _, (i, j), lcm = heapq.heappop(heap)
+        pending.remove((i, j))
+        if any(
+            k != i and k != j
+            and lt[0] <= lcm[0] and lt[1] <= lcm[1]
+            and (max(i, k), min(i, k)) not in pending
+            and (max(j, k), min(j, k)) not in pending
+            for k, (lt, _, _) in enumerate(data)
+        ):
             continue
-        s = _spoly(basis[i], basis[j], key)
-        h = normal_form(s, basis, key)
-        if not h.is_zero():
-            basis.append(h)
-            pairs.update((len(basis) - 1, k) for k in range(len(basis) - 1))
+        h = _nf_terms(_spoly(data[i], data[j], lcm), data, key)
+        if h:
+            add(Polynomial(h))
     return _interreduce(basis, key)
 
 
 def _interreduce(basis, key):
-    def divides(a, b):
-        return a[0] <= b[0] and a[1] <= b[1]
-
-    ordered = sorted(basis, key=lambda g: key(g.leading_under(key)[0]))
+    leads = sorted(
+        ((_lead(g, key)[0], g) for g in basis), key=lambda e: key(e[0])
+    )
     minimal = []
-    for g in ordered:
-        lt = g.leading_under(key)[0]
-        if any(divides(m.leading_under(key)[0], lt) for m in minimal):
-            continue
-        minimal.append(g)
+    for lt, g in leads:
+        if not any(m[0] <= lt[0] and m[1] <= lt[1] for m, _ in minimal):
+            minimal.append((lt, g))
+    data = _basis_data([g for _, g in minimal], key)
     reduced = []
-    for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        h = normal_form(g, others, key) if others else g
+    for k, (_, g) in enumerate(minimal):
+        others = data[:k] + data[k + 1:]
+        h = Polynomial(_nf_terms(dict(g.terms), others, key)) if others else g
         reduced.append(h.monic())
-    reduced.sort(key=lambda g: key(g.leading_under(key)[0]))
     return reduced
 
 

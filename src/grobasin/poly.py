@@ -29,7 +29,8 @@ class Polynomial:
         # coeffs: mapping exponent pair -> coefficient
         items = []
         for exp, c in (coeffs or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             e1, e2 = exp
@@ -234,7 +235,10 @@ def parse_polynomial(text: str) -> Polynomial:
         e1 = e2 = 0
         for factor in chunk.split("*"):
             if _COEFF_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -207,3 +208,14 @@ class TestSuitesSmall:
         assert first.to_json() == second.to_json()
         different = run_prop1(5, n_max=5, seed=43)
         assert different.to_json() != first.to_json()
+
+
+class TestRegressions:
+    def test_divisibility_seed_3_within_budget(self):
+        # trial 90 (cols (6, 2)) once spent about two minutes in Buchberger
+        # while sampling; the budget is generous against machine noise
+        start = time.perf_counter()
+        report = run_divisibility(100, n_max=8, seed=3)
+        elapsed = time.perf_counter() - start
+        assert report.cases_passed == report.cases_run == 100
+        assert elapsed < 20, f"took {elapsed:.1f}s, budget 20s"

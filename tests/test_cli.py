@@ -239,6 +239,14 @@ class TestGroebner:
         assert code == 2
         assert "line 1" in err
 
+    def test_zero_denominator_exit(self, capsys, tmp_path):
+        path = tmp_path / "ideal.txt"
+        path.write_text("x1\nx2 + 1/0\n")
+        code, out, err = run(capsys, ["groebner", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: zero denominator in '1/0'\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["groebner", str(tmp_path / "absent.txt"), "--basis"]
@@ -313,6 +321,49 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "suite,smallest",
+        [
+            ("prop1", 2),
+            ("prop2", 2),
+            ("divisibility", 2),
+            ("calibration", 2),
+            ("punc", 2),
+            ("et-closure", 2),
+            ("single-column", 1),
+            ("duality", 1),
+            ("refinement", 1),
+            ("alg", 1),
+        ],
+    )
+    @pytest.mark.parametrize("below", [1, 2, 3])
+    def test_nmax_below_minimum(self, capsys, suite, smallest, below):
+        nmax = str(smallest - below)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--trials", "1", "--nmax", nmax])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--nmax must be at least {smallest} for {suite}" in err
+
+    def test_nmax_checked_before_any_suite_runs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "duality", "prop1", "--nmax", "1"])
+        assert exc.value.code == 2
+        assert "experiment:" not in capsys.readouterr().out
+
+    def test_nmax_checked_for_all_suites_when_none_named(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--nmax", "1"])
+        assert exc.value.code == 2
+
+    def test_smallest_nmax_runs(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["verify", "prop1", "single-column", "--trials", "2", "--nmax", "2"],
+        )
+        assert code == 0
+        assert out.count("cases:      2 run, 2 passed") == 2
 
     def test_bad_environment_seed(self, monkeypatch):
         monkeypatch.setenv("GROBASIN_SEED", "yes")
