@@ -162,25 +162,17 @@ def _axis_sample(target, rng, max_rejections):
             )
 
 
-def _free_sample(target, rng, max_rejections):
-    # the etale configuration: |row_i| points on a private horizontal line
+def _free_sample(target, rng):
+    # the etale configuration: |row_i| points on a private horizontal line.
+    # By Cerlienco-Mureddu the lex staircase of distinct points has the
+    # per-line counts, sorted, as its rows, so every draw lands in target.
     rows = target.rows()
-    rejections = 0
-    while True:
-        lines = _distinct_fractions(rng, len(rows))
-        points = []
-        for width, lam in zip(rows, lines):
-            for x in _distinct_fractions(rng, width):
-                points.append((x, lam))
-        ideal = vanishing_ideal(points)
-        gb = reduced_groebner_basis(ideal)
-        if gb.staircase == target:
-            return gb.elements
-        rejections += 1
-        if rejections > max_rejections:
-            raise SamplingError(
-                f"no point configuration for cols{target.cols()} within budget"
-            )
+    lines = _distinct_fractions(rng, len(rows))
+    points = []
+    for width, lam in zip(rows, lines):
+        for x in _distinct_fractions(rng, width):
+            points.append((x, lam))
+    return reduced_groebner_basis(vanishing_ideal(points)).elements
 
 
 def _supports_origin(gb_elements, n):
@@ -211,7 +203,7 @@ def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
         elements = _translated(elements, 0, Fraction(spec.line))
         elements = reduced_groebner_basis(Ideal(elements)).elements
     else:
-        elements = _free_sample(target, rng, spec.max_rejections)
+        elements = _free_sample(target, rng)
     ideal = Ideal(elements)
     gb = reduced_groebner_basis(ideal)
     n = target.cardinality
@@ -507,7 +499,7 @@ def run_torus_calibration(trials: int, n_max: int = 6, seed: int = 0) -> Experim
             elif mode == "x1_axis":
                 elements = _axis_sample(target, rng, 50)
             else:
-                elements = _free_sample(target, rng, 50)
+                elements = _free_sample(target, rng)
         except SamplingError as exc:
             rec.sampling_failure(case, exc)
             continue

@@ -9,7 +9,7 @@ which is how ideals meet the combinatorics in the rest of the package.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Polynomial, format_polynomial, parse_polynomial
@@ -24,10 +24,6 @@ class LimitDoesNotExist(ValueError):
     """The requested torus limit leaves the Hilbert scheme."""
 
 
-def _lex_key(exp):
-    return exp
-
-
 def _weight_key(v):
     v1, v2 = v
 
@@ -39,15 +35,23 @@ def _weight_key(v):
 
 @dataclass(frozen=True)
 class Ideal:
-    """A finite generating set; zero generators are dropped on entry."""
+    """A finite generating set; zero generators are dropped on entry.
+
+    Built from a ReducedGroebnerBasis, it carries that as `basis`, which
+    equality and hashing ignore."""
 
     generators: tuple
+    basis: object = field(default=None, compare=False, repr=False)
 
     def __init__(self, generators):
+        basis = None
+        if isinstance(generators, ReducedGroebnerBasis):
+            basis, generators = generators, generators.elements
         gens = tuple(g for g in generators if not g.is_zero())
         if not gens:
             raise ValueError("ideal needs at least one nonzero generator")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "basis", basis)
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,12 @@ class ReducedGroebnerBasis:
         return self.staircase is not None
 
 
-def _nf_terms(terms, basis_data, key):
-    # terms: dict exponent -> coefficient, consumed; returns remainder dict
+def _nf_terms(terms, basis_data):
+    # terms: dict exponent -> coefficient; returns the lex remainder dict
     work = dict(terms)
     remainder = {}
     while work:
-        exp = max(work, key=None if key is _lex_key else key)
+        exp = max(work)
         coeff = work.pop(exp)
         if coeff == 0:
             continue
@@ -93,24 +97,19 @@ def _nf_terms(terms, basis_data, key):
     return remainder
 
 
-def _lead(g, key):
+def _basis_data(polys):
     # terms are kept lex-sorted, so the lex lead is the first term
-    return g.terms[0] if key is _lex_key else g.leading_under(key)
+    return [(*g.terms[0], g.terms) for g in polys]
 
 
-def _basis_data(polys, key):
-    return [(*_lead(g, key), g.terms) for g in polys]
-
-
-def normal_form(f: Polynomial, basis, key=None) -> Polynomial:
-    """Remainder of f on division by a reduced basis.
+def normal_form(f: Polynomial, basis) -> Polynomial:
+    """Lex remainder of f on division by a reduced basis.
 
     Accepts a ReducedGroebnerBasis or any iterable of nonzero
     polynomials."""
     if hasattr(basis, "elements"):
         basis = basis.elements
-    key = key or _lex_key
-    return Polynomial(_nf_terms(dict(f.terms), _basis_data(basis, key), key))
+    return Polynomial(_nf_terms(dict(f.terms), _basis_data(basis)))
 
 
 def _spoly(a, b, lcm):
@@ -125,12 +124,12 @@ def _spoly(a, b, lcm):
     return out
 
 
-def _buchberger(gens, key):
-    """Buchberger's algorithm, normal selection strategy.
+def _buchberger(gens):
+    """Buchberger's algorithm in lex, normal selection strategy.
 
     Each element's leading (exponent, coefficient) is computed once and
     kept in `data`, the list _nf_terms divides by.  Pending pairs sit in a
-    heap keyed by (key(lcm), pair).  Pairs with coprime leads never enter
+    heap keyed by (lcm, pair).  Pairs with coprime leads never enter
     it and count as treated (product criterion).  A popped pair (i, j) is
     skipped when some k has lt_k | lcm(i, j) and neither (i, k) nor (j, k)
     is pending (chain criterion, as in the improved Buchberger algorithm
@@ -139,12 +138,12 @@ def _buchberger(gens, key):
     basis, data, heap, pending = [], [], [], set()
 
     def add(g):
-        lt, lc = _lead(g, key)
+        lt, lc = g.terms[0]
         i = len(data)
         for j, (lj, _, _) in enumerate(data):
             lcm = (max(lt[0], lj[0]), max(lt[1], lj[1]))
             if lcm != (lt[0] + lj[0], lt[1] + lj[1]):
-                heapq.heappush(heap, (key(lcm), (i, j), lcm))
+                heapq.heappush(heap, (lcm, (i, j)))
                 pending.add((i, j))
         basis.append(g)
         data.append((lt, lc, g.terms))
@@ -155,7 +154,7 @@ def _buchberger(gens, key):
     if not basis:
         raise ValueError("ideal needs at least one nonzero generator")
     while heap:
-        _, (i, j), lcm = heapq.heappop(heap)
+        lcm, (i, j) = heapq.heappop(heap)
         pending.remove((i, j))
         if any(
             k != i and k != j
@@ -165,27 +164,79 @@ def _buchberger(gens, key):
             for k, (lt, _, _) in enumerate(data)
         ):
             continue
-        h = _nf_terms(_spoly(data[i], data[j], lcm), data, key)
+        h = _nf_terms(_spoly(data[i], data[j], lcm), data)
         if h:
             add(Polynomial(h))
-    return _interreduce(basis, key)
+    return _interreduce(basis)
 
 
-def _interreduce(basis, key):
-    leads = sorted(
-        ((_lead(g, key)[0], g) for g in basis), key=lambda e: key(e[0])
-    )
+def _interreduce(basis):
+    leads = sorted(((g.terms[0][0], g) for g in basis), key=lambda e: e[0])
     minimal = []
     for lt, g in leads:
         if not any(m[0] <= lt[0] and m[1] <= lt[1] for m, _ in minimal):
             minimal.append((lt, g))
-    data = _basis_data([g for _, g in minimal], key)
+    data = _basis_data([g for _, g in minimal])
     reduced = []
     for k, (_, g) in enumerate(minimal):
         others = data[:k] + data[k + 1:]
-        h = Polynomial(_nf_terms(dict(g.terms), others, key)) if others else g
+        h = Polynomial(_nf_terms(dict(g.terms), others)) if others else g
         reduced.append(h.monic())
     return reduced
+
+
+def _walk(bases, key):
+    """Reduced basis elements, in the order `key`, of the intersection of
+    the zero-dimensional ideals with the given reduced lex bases.
+
+    FGLM (Faugere, Gianni, Lazard and Mora 1993), in the form of Marinari,
+    Moeller and Mora (1993) for several ideals.  Monomials m are visited
+    upward in `key` from 1, past multiples of the leads found.  The normal
+    forms of m, a visited predecessor's times x1 or x2, are concatenated
+    with a column (-1, m) below them and row-reduced against the earlier
+    standard monomials: a new row, or with only (-1, .) columns left, the
+    next monic element.
+    """
+    datas = [_basis_data(b) for b in bases]
+    # normal forms of the standard monomials; 1 comes from the unreduced
+    # forms of a predecessor None, and a monomial already in forms was
+    # reached before from its other predecessor
+    forms = {None: [{(0, 0): Fraction(1)}] * len(datas)}
+    heap = [(key((0, 0)), (0, 0), None, (0, 0))]
+    rows, leads, elements = {}, [], []
+    while heap:
+        _, m, pred, var = heapq.heappop(heap)
+        if m in forms or any(l[0] <= m[0] and l[1] <= m[1] for l in leads):
+            continue
+        nfs = [
+            _nf_terms({(e[0] + var[0], e[1] + var[1]): c for e, c in f.items()}, d)
+            for f, d in zip(forms[pred], datas)
+        ]
+        work = {(k, e): c for k, f in enumerate(nfs) for e, c in f.items()}
+        work[(-1, m)] = Fraction(1)
+        col = max(work)
+        while col in rows:
+            factor = work[col] / rows[col][col]
+            for c, val in rows[col].items():
+                work[c] = work.get(c, 0) - factor * val
+            work = {c: val for c, val in work.items() if val}
+            col = max(work)
+        if col[0] < 0:
+            leads.append(m)
+            elements.append(Polynomial({e: c for (_, e), c in work.items()}))
+            continue
+        rows[col], forms[m] = work, nfs
+        for var in ((1, 0), (0, 1)):
+            nxt = (m[0] + var[0], m[1] + var[1])
+            heapq.heappush(heap, (key(nxt), nxt, m, var))
+    return elements
+
+
+def _as_basis(elements):
+    # reduced lex basis elements, in any order
+    elements = sorted(elements, key=Polynomial.leading_exponent)
+    corners = [g.leading_exponent() for g in elements]
+    return ReducedGroebnerBasis(tuple(elements), _staircase_from_corners(corners))
 
 
 def _staircase_from_corners(corners):
@@ -202,9 +253,9 @@ def _staircase_from_corners(corners):
 
 def reduced_groebner_basis(ideal: Ideal) -> ReducedGroebnerBasis:
     """The unique reduced lex Groebner basis of the ideal."""
-    elements = _buchberger(ideal.generators, _lex_key)
-    corners = {g.leading_exponent() for g in elements}
-    return ReducedGroebnerBasis(tuple(elements), _staircase_from_corners(corners))
+    if ideal.basis is not None:
+        return ideal.basis
+    return _as_basis(_buchberger(ideal.generators))
 
 
 def staircase_of(ideal: Ideal) -> StandardSet:
@@ -230,26 +281,21 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 def intersect_comaximal(ideals) -> Ideal:
     """Intersection of pairwise comaximal zero-dimensional ideals.
 
-    Computed as the iterated product, compacting with a Groebner basis at
-    each step.  The staircase cardinality of the result must equal the sum
-    over the factors; a mismatch means the supports were not disjoint and
-    raises ValueError.
+    Computed by one lex walk over the factors' reduced bases; the result
+    carries its reduced basis.  The staircase cardinality of the result
+    must equal the sum over the factors; a mismatch means the supports
+    were not disjoint and raises ValueError.
     """
-    ideals = list(ideals)
-    if not ideals:
+    bases = [reduced_groebner_basis(i) for i in ideals]
+    if not bases:
         raise ValueError("need at least one ideal")
-    total = 0
-    for i in ideals:
-        total += staircase_of(i).cardinality
-    current = reduced_groebner_basis(ideals[0]).elements
-    for nxt in ideals[1:]:
-        nxt_gb = reduced_groebner_basis(nxt).elements
-        product = Ideal(tuple(f * g for f in current for g in nxt_gb))
-        current = reduced_groebner_basis(product).elements
-    result = Ideal(current)
-    if staircase_of(result).cardinality != total:
+    if any(gb.staircase is None for gb in bases):
+        raise NotZeroDimensional("ideal is not zero-dimensional")
+    # the zero weight refined by lex is lex
+    result = _as_basis(_walk([gb.elements for gb in bases], _weight_key((0, 0))))
+    if result.staircase.cardinality != sum(gb.staircase.cardinality for gb in bases):
         raise ValueError("supports not disjoint")
-    return result
+    return Ideal(result)
 
 
 def point_ideal(point) -> Ideal:
@@ -368,19 +414,19 @@ def _echelon_initial_forms(vectors, v):
 
 def _punctual_limit(gb: ReducedGroebnerBasis, v) -> Ideal:
     n = gb.staircase.cardinality
-    data = _basis_data(gb.elements, _lex_key)
+    data = _basis_data(gb.elements)
     stairs = sorted(gb.staircase.points())
     index = {e: k for k, e in enumerate(stairs)}
 
     def nf_vector(exp):
-        rem = _nf_terms({exp: Fraction(1)}, data, _lex_key)
+        rem = _nf_terms({exp: Fraction(1)}, data)
         vec = [Fraction(0)] * n
         for e, c in rem.items():
             vec[index[e]] = c
         return vec
 
     for i in range(n + 1):
-        rem = _nf_terms({(i, n - i): Fraction(1)}, data, _lex_key)
+        rem = _nf_terms({(i, n - i): Fraction(1)}, data)
         if rem:
             raise LimitDoesNotExist(
                 "limit does not exist in the Hilbert scheme: "
@@ -406,7 +452,7 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
     Generated by the v-minimal parts of a Groebner basis for the order
     "v-weight ascending, ties by lex".  Weights with both entries <= 0
     work for any zero-dimensional ideal; other weights require support at
-    the origin.  The result is returned by its reduced lex basis; if its
+    the origin.  The result carries its reduced lex basis; if its
     staircase cardinality differs from the input's, the limit left the
     Hilbert scheme and LimitDoesNotExist is raised.
     """
@@ -416,16 +462,18 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
         raise NotZeroDimensional("ideal is not zero-dimensional")
     n = gb.staircase.cardinality
     if v1 <= 0 and v2 <= 0:
-        weighted = _buchberger(ideal.generators, _weight_key((v1, v2)))
-        candidate = Ideal(
-            tuple(_initial_form(dict(g.terms), (v1, v2)) for g in weighted)
-        )
+        # the v-minimal parts of the reduced weight basis are the reduced
+        # lex basis of the limit; equal leads make the lex basis that basis
+        key = _weight_key((v1, v2))
+        weighted = gb.elements
+        if any(g.leading_under(key)[0] != g.terms[0][0] for g in weighted):
+            weighted = _walk([weighted], key)
+        limit_gb = _as_basis(_initial_form(dict(g.terms), (v1, v2)) for g in weighted)
     else:
-        candidate = _punctual_limit(gb, (v1, v2))
-    limit_gb = reduced_groebner_basis(candidate)
+        limit_gb = reduced_groebner_basis(_punctual_limit(gb, (v1, v2)))
     if limit_gb.staircase is None or limit_gb.staircase.cardinality != n:
         raise LimitDoesNotExist("limit does not exist in the Hilbert scheme")
-    return Ideal(limit_gb.elements)
+    return Ideal(limit_gb)
 
 
 def parse_ideal_text(text: str) -> Ideal:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,41 @@ class TestIdeal:
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             Ideal((Polynomial.zero(),))
+
+    def test_built_from_basis_carries_it(self):
+        gb = reduced_groebner_basis(Ideal((P("x1^2 - x2"), P("x2^2"))))
+        ideal = Ideal(gb)
+        assert ideal.basis is gb
+        assert reduced_groebner_basis(ideal) is gb
+        assert ideal == Ideal(gb.elements)
+        assert hash(ideal) == hash(Ideal(gb.elements))
+        assert Ideal(gb.elements).basis is None
+
+
+class TestCarriedBasis:
+    def _fresh(self, ideal):
+        return reduced_groebner_basis(Ideal(list(ideal.generators)))
+
+    def test_intersection_carries_its_basis(self):
+        ideal = intersect_comaximal(
+            [tall_point_ideal(2, [0, 1]), point_ideal((1, 0)), point_ideal((0, 5))]
+        )
+        gb = reduced_groebner_basis(ideal)
+        assert gb is ideal.basis
+        assert gb == self._fresh(ideal)
+        assert ideal.generators == gb.elements
+
+    def test_vanishing_ideal_carries_its_basis(self):
+        ideal = vanishing_ideal([(0, 0), (1, 2), (Fraction(-1, 3), 1), (2, 2)])
+        assert reduced_groebner_basis(ideal) is ideal.basis
+        assert ideal.basis == self._fresh(ideal)
+
+    @pytest.mark.parametrize("v", [(-1, -1), (-3, -1), (0, -1), (1, 4)])
+    def test_torus_limit_carries_its_basis(self, v):
+        ideal = Ideal((P("x1 + x2 + x2^2"), P("x2^3")))
+        limit = torus_limit(ideal, v)
+        assert reduced_groebner_basis(limit) is limit.basis
+        assert limit.basis == self._fresh(limit)
 
 
 class TestNormalForm:
@@ -347,3 +384,32 @@ class TestIdealText:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="no generators"):
             parse_ideal_text("\n\n")
+
+
+class TestScalingBudgets:
+    # the weight walk costs grow with the colength; these inputs have a
+    # small generating set but a large or dense quotient
+
+    def test_weight_limit_of_a_long_row_within_budget(self):
+        # every lex lead is already the weight lead, so no walk runs
+        ideal = Ideal((P("x1^20000 - 1"), P("x2")))
+        start = time.perf_counter()
+        limit = torus_limit(ideal, (-1, -1))
+        elapsed = time.perf_counter() - start
+        assert limit.generators == (P("x2"), P("x1^20000"))
+        assert elapsed < 5, f"took {elapsed:.1f}s, budget 5s"
+
+    def test_vanishing_ideal_of_32_points_within_budget(self):
+        rng = random.Random(32)
+        levels = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
+        points = set()
+        while len(points) < 32:
+            x = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+            points.add((x, rng.choice(levels)))
+        start = time.perf_counter()
+        ideal = vanishing_ideal(sorted(points))
+        elapsed = time.perf_counter() - start
+        counts = Counter(p[1] for p in points)
+        rows = reduced_groebner_basis(ideal).staircase.rows()
+        assert list(rows) == sorted(counts.values(), reverse=True)
+        assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"

@@ -1,8 +1,9 @@
 """Oracles that share no code with grobasin.groebner.
 
-sympy's lex Groebner basis over QQ is compared with
-reduced_groebner_basis on seeded random ideals, and vanishing_ideal is
-checked against the closed form of the lex staircase of a point set.
+sympy's lex and grlex Groebner bases over QQ are compared with
+reduced_groebner_basis, intersect_comaximal and torus_limit on seeded
+random ideals, and vanishing_ideal and the free sampler are checked
+against the closed form of the lex staircase of a point set.
 """
 
 import random
@@ -11,8 +12,20 @@ from fractions import Fraction
 
 import pytest
 
-from grobasin.groebner import Ideal, reduced_groebner_basis, vanishing_ideal
-from grobasin.poly import Polynomial
+from grobasin.basinlab import _free_sample
+from grobasin.groebner import (
+    Ideal,
+    NotZeroDimensional,
+    ideal_product,
+    intersect_comaximal,
+    point_ideal,
+    reduced_groebner_basis,
+    tall_point_ideal,
+    torus_limit,
+    vanishing_ideal,
+)
+from grobasin.poly import X1, X2, Polynomial
+from grobasin.staircase import StandardSet, enumerate_staircases
 
 
 def _rat(rng, bound=5):
@@ -70,17 +83,22 @@ def _random_ideal(seed):
     ]
 
 
-def _sympy_basis(gens):
+def _sympy_expr(g):
     sympy = pytest.importorskip("sympy")
     x1, x2 = sympy.symbols("x1 x2")
-    exprs = [
-        sum(
-            sympy.Rational(c.numerator, c.denominator) * x1**e[0] * x2**e[1]
-            for e, c in g.terms
-        )
-        for g in gens
-    ]
-    basis = sympy.groebner(exprs, x1, x2, order="lex", domain="QQ")
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * x1**e[0] * x2**e[1]
+        for e, c in g.terms
+    )
+
+
+def _sympy_groebner(exprs, order="lex"):
+    sympy = pytest.importorskip("sympy")
+    x1, x2 = sympy.symbols("x1 x2")
+    return sympy.groebner(exprs, x1, x2, order=order, domain="QQ")
+
+
+def _sympy_terms(basis):
     return {
         tuple(
             sorted(
@@ -93,6 +111,10 @@ def _sympy_basis(gens):
         )
         for p in basis.polys
     }
+
+
+def _sympy_basis(gens, order="lex"):
+    return _sympy_terms(_sympy_groebner([_sympy_expr(g) for g in gens], order))
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -115,3 +137,152 @@ def test_vanishing_ideal_staircase_rows_are_level_counts(seed):
     counts = Counter(p[1] for p in points)
     gb = reduced_groebner_basis(vanishing_ideal(sorted(points)))
     assert list(gb.staircase.rows()) == sorted(counts.values(), reverse=True)
+
+
+def _translate(gens, point):
+    # move the support by `point`: x1 -> x1 - a, x2 -> x2 - b
+    a, b = point
+    return [
+        g.compose(X1 - Polynomial.constant(a), X2 - Polynomial.constant(b))
+        for g in gens
+    ]
+
+
+def _origin_factor(rng):
+    """Generators of a tall or fat point at the origin, 1-4 boxes."""
+    if rng.random() < 0.5:
+        height = rng.randint(1, 3)
+        coeffs = [0] + [_rat(rng) for _ in range(height - 1)]
+        return list(tall_point_ideal(height, coeffs).generators)
+    # a monomial staircase bent by x1 -> x1 + c*x2^k
+    cols = rng.choice([[1, 1], [2, 1], [2], [1, 1, 1], [3, 1]])
+    corners = StandardSet.from_columns(cols).outer_corners()
+    bend = X1 + Polynomial.monomial((0, rng.randint(1, 2)), _rat(rng))
+    return [Polynomial.monomial(e).compose(bend, X2) for e in corners]
+
+
+def _comaximal_factors(seed):
+    # prop1 style: points at distinct abscissas on the x1-axis (columns
+    # merge); prop2 style: points on distinct horizontal lines (rows merge)
+    rng = random.Random(3000 + seed)
+    spots = set()
+    count = rng.randint(2, 4)
+    while len(spots) < count:
+        spots.add(_rat(rng))
+    places = [(z, 0) if seed % 2 else (0, z) for z in sorted(spots)]
+    return [_translate(_origin_factor(rng), p) for p in places]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_intersect_matches_product_and_sympy(seed):
+    factors = _comaximal_factors(seed)
+    ours = intersect_comaximal(Ideal(f) for f in factors)
+    product = Ideal(factors[0])
+    for f in factors[1:]:
+        product = Ideal(
+            reduced_groebner_basis(ideal_product(product, Ideal(f))).elements
+        )
+    expected = reduced_groebner_basis(product).elements
+    assert ours.generators == expected
+    # sympy's own iterated product, compacted by its lex basis each step
+    basis = _sympy_groebner([_sympy_expr(g) for g in factors[0]])
+    for f in factors[1:]:
+        basis = _sympy_groebner(
+            [a * _sympy_expr(h) for a in basis.exprs for h in f]
+        )
+    assert {g.terms for g in ours.generators} == _sympy_terms(basis)
+
+
+def _grlex_differs(seed):
+    # (x1 - p(x2), q(x2)) with deg p >= 2: x2^deg(p) leads x1 - p(x2)
+    # under grlex, so the lex basis is not the weight basis
+    rng = random.Random(4000 + seed)
+    deg_q = rng.randint(3, 5)
+    p = Polynomial({(0, b): _rat(rng) for b in range(deg_q)})
+    p = p + Polynomial.monomial((0, rng.randint(2, deg_q - 1)))
+    roots = set()
+    while len(roots) < deg_q:
+        roots.add(_rat(rng))
+    q = Polynomial.constant(1)
+    for r in roots:
+        q = q * (X2 - Polynomial.constant(r))
+    return [X1 - p, q]
+
+
+# seeds of _random_ideal whose ideal is zero-dimensional
+_ZERO_DIMENSIONAL = [
+    s for s in range(50) if s not in (3, 4, 8, 13, 23, 28, 33, 38, 48)
+]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [_grlex_differs(s) for s in range(12)]
+    + [_random_ideal(s) for s in _ZERO_DIMENSIONAL],
+)
+def test_weight_limit_is_top_degree_of_sympy_grlex(gens):
+    # the weight (-1, -1) refined by lex is grlex with x1 > x2; the
+    # limit is generated by the top-degree parts of the grlex basis
+    limit = torus_limit(Ideal(gens), (-1, -1))
+    expected = set()
+    for terms in _sympy_basis(gens, order="grlex"):
+        top = max(e[0] + e[1] for e, _ in terms)
+        expected.add(tuple(t for t in terms if sum(t[0]) == top))
+    assert {g.terms for g in limit.generators} == expected
+
+
+def test_weight_limit_cases_exercise_the_walk():
+    # some lex lead is not the grlex lead, so the lex basis is not reused
+    for gens in map(_grlex_differs, range(12)):
+        lex = reduced_groebner_basis(Ideal(gens)).elements
+        assert any(
+            g.leading_under(lambda e: (e[0] + e[1], e))[0] != g.terms[0][0]
+            for g in lex
+        )
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [point_ideal((0, 0)), point_ideal((0, 0))],
+        [point_ideal((1, 2)), vanishing_ideal([(1, 2), (3, 4)])],
+        [tall_point_ideal(2, [0, 1]), point_ideal((0, 0))],
+        [
+            Ideal(_translate([X1**2, X2], (1, 1))),
+            Ideal(_translate([X1, X2**2], (1, 1))),
+        ],
+    ],
+)
+def test_intersect_overlapping_supports_raise(factors):
+    with pytest.raises(ValueError, match="supports not disjoint"):
+        intersect_comaximal(factors)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [point_ideal((0, 0)), Ideal((X1 - Polynomial.constant(1),))],
+        [Ideal((X1 * X2, X2**2)), point_ideal((1, 1))],
+    ],
+)
+def test_intersect_not_zero_dimensional_raises(factors):
+    with pytest.raises(NotZeroDimensional):
+        intersect_comaximal(factors)
+
+
+@pytest.mark.parametrize(
+    "cols,seed",
+    [
+        (t.cols(), seed)
+        for n in range(1, 7)
+        for t in enumerate_staircases(n)
+        for seed in range(3)
+    ],
+    ids=str,
+)
+def test_free_sample_lands_in_target_first_time(cols, seed):
+    # Cerlienco-Mureddu: |row_i| points on the i-th of distinct lines have
+    # exactly the rows of target as their lex staircase
+    target = StandardSet.from_columns(cols)
+    elements = _free_sample(target, random.Random(f"free:{seed}"))
+    assert reduced_groebner_basis(Ideal(elements)).staircase == target
