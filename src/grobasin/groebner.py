@@ -281,8 +281,9 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 def intersect_comaximal(ideals) -> Ideal:
     """Intersection of pairwise comaximal zero-dimensional ideals.
 
-    Computed by one lex walk over the factors' reduced bases; the result
-    carries its reduced basis.  The staircase cardinality of the result
+    Computed by one lex walk over the factors' reduced bases (a single
+    factor is its own intersection and needs none); the result carries its
+    reduced basis.  The staircase cardinality of the result
     must equal the sum over the factors; a mismatch means the supports
     were not disjoint and raises ValueError.
     """
@@ -291,6 +292,8 @@ def intersect_comaximal(ideals) -> Ideal:
         raise ValueError("need at least one ideal")
     if any(gb.staircase is None for gb in bases):
         raise NotZeroDimensional("ideal is not zero-dimensional")
+    if len(bases) == 1:
+        return Ideal(bases[0])
     # the zero weight refined by lex is lex
     result = _as_basis(_walk([gb.elements for gb in bases], _weight_key((0, 0))))
     if result.staircase.cardinality != sum(gb.staircase.cardinality for gb in bases):

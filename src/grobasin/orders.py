@@ -82,9 +82,10 @@ def et_row_partition(a: StandardSet, b: StandardSet):
 # column breaking order
 
 
+@lru_cache(maxsize=None)
 def _sub_removals(avail, need):
-    # avail: tuple of (height, count) with heights desc; yields avail tuples
-    # left over after removing a sub-multiset summing exactly to need
+    # avail: tuple of (height, count) with heights desc; returns the avail
+    # tuples left over after removing a sub-multiset summing exactly to need
     def go(i, left, acc):
         if left == 0:
             yield tuple(
@@ -97,7 +98,7 @@ def _sub_removals(avail, need):
         for take in range(min(c, left // h), -1, -1):
             yield from go(i + 1, left - take * h, acc + [(h, c - take)])
 
-    yield from go(0, need, [])
+    return tuple(go(0, need, []))
 
 
 @lru_cache(maxsize=None)
@@ -288,19 +289,19 @@ def build_poset(n: int, order: str) -> PosetData:
         tuple(leq(elements[i], elements[j]) for j in range(k))
         for i in range(k)
     )
-    covers = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not relation[i][j]:
-                continue
-            if any(
-                relation[i][m] and relation[m][j]
-                for m in range(k)
-                if m != i and m != j
-            ):
-                continue
-            covers.append((i, j))
-    return PosetData(elements, relation, tuple(covers))
+    # bit m of up[i] is relation[i][m], bit m of down[j] is relation[m][j];
+    # a related pair i != j is a cover iff no third element lies in both
+    up = [sum(1 << m for m in range(k) if row[m]) for row in relation]
+    down = [sum(1 << m for m in range(k) if relation[m][j]) for j in range(k)]
+    covers = tuple(
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j
+        and relation[i][j]
+        and not up[i] & down[j] & ~(1 << i | 1 << j)
+    )
+    return PosetData(elements, relation, covers)
 
 
 def _node_label(s: StandardSet) -> str:
@@ -474,6 +475,20 @@ def _line_decompositions(cols):
 
 
 @lru_cache(maxsize=None)
+def _signed_decompositions(cols):
+    # the line decompositions in order, each with its signature (the sorted
+    # factor cardinalities), and the same grouped by signature in order
+    signed = tuple(
+        (tuple(sorted(f.cardinality for line in dec for f in line)), dec)
+        for dec in _line_decompositions(cols)
+    )
+    grouped = {}
+    for signature, dec in signed:
+        grouped.setdefault(signature, []).append(dec)
+    return signed, {sig: tuple(decs) for sig, decs in grouped.items()}
+
+
+@lru_cache(maxsize=None)
 def _leq_punc_cols(ca, cb):
     return leq_punc(StandardSet(ca), StandardSet(cb))
 
@@ -508,6 +523,7 @@ def _perfect_match(left, right):
     return match
 
 
+@lru_cache(maxsize=None)
 def _line_key(line):
     return (len(line),) + tuple(_factor_key(f) for f in line)
 
@@ -582,12 +598,13 @@ def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
         return None
     if a.cardinality == 0:
         return IncidenceCertificate(a, b, {}, {}, {})
-    for dec_a in _line_decompositions(a.cols()):
-        boxes_a = sum(len(line) for line in dec_a)
-        for dec_b in _line_decompositions(b.cols()):
+    # a certificate pairs every factor of dec_a with one of dec_b along
+    # leq_punc, which needs equal cardinality, so only decompositions with
+    # the same factor cardinalities can match
+    by_signature = _signed_decompositions(b.cols())[1]
+    for signature, dec_a in _signed_decompositions(a.cols())[0]:
+        for dec_b in by_signature.get(signature, ()):
             if len(dec_b) > len(dec_a):
-                continue
-            if sum(len(line) for line in dec_b) != boxes_a:
                 continue
             assignment = _match_lines(dec_a, dec_b)
             if assignment is None:

@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 
 class StandardSet:
-    """A staircase, identified by its column heights (a partition)."""
+    """A staircase, identified by its column heights (a partition).
 
-    __slots__ = ("column_heights",)
+    Row widths are computed on first use and kept in the `_rows` slot;
+    equality and hashing read only the column heights."""
+
+    __slots__ = ("column_heights", "_rows")
 
     def __init__(self, column_heights=()):
         heights = tuple(int(h) for h in column_heights)
@@ -56,14 +59,22 @@ class StandardSet:
 
     def rows(self):
         """Row widths, bottom to top (weakly decreasing)."""
+        try:
+            return self._rows
+        except AttributeError:
+            pass
         cols = self.column_heights
-        return tuple(
+        rows = tuple(
             sum(1 for h in cols if h > i) for i in range(self.height)
         )
+        object.__setattr__(self, "_rows", rows)
+        return rows
 
     def transpose(self) -> "StandardSet":
         """The staircase reflected across the main diagonal."""
-        return StandardSet(self.rows())
+        flipped = StandardSet(self.rows())
+        object.__setattr__(flipped, "_rows", self.column_heights)
+        return flipped
 
     def points(self):
         """All boxes as (column, row) pairs."""

@@ -64,6 +64,23 @@ class TestCarriedBasis:
         assert gb == self._fresh(ideal)
         assert ideal.generators == gb.elements
 
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ("x1^7 - 1", "x2"),
+            ("x1 + 2*x2 - x2^2", "x2^3"),
+            ("x1^2 - x2", "x2^2 - 1", "x1*x2 + x1 - 1"),
+        ],
+    )
+    def test_single_factor_is_its_own_intersection(self, gens):
+        factor = Ideal(tuple(P(g) for g in gens))
+        gb = self._fresh(factor)
+        ideal = intersect_comaximal([factor])
+        assert reduced_groebner_basis(ideal) is ideal.basis
+        assert ideal.basis == gb
+        # no walk: a factor that carries its basis hands that object on
+        assert intersect_comaximal([Ideal(gb)]).basis is gb
+
     def test_vanishing_ideal_carries_its_basis(self):
         ideal = vanishing_ideal([(0, 0), (1, 2), (Fraction(-1, 3), 1), (2, 2)])
         assert reduced_groebner_basis(ideal) is ideal.basis

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -52,6 +53,22 @@ def brute_leq_et(a, b):
 def brute_leq_punc(a, b):
     # vertical column breaking is horizontal row merging of the mirrors
     return brute_leq_et(b.transpose(), a.transpose())
+
+
+def naive_covers(relation):
+    # pairs i != j related with no third element between them
+    k = len(relation)
+    return [
+        (i, j)
+        for i, j in itertools.product(range(k), range(k))
+        if i != j
+        and relation[i][j]
+        and not any(
+            relation[i][m] and relation[m][j]
+            for m in range(k)
+            if m not in (i, j)
+        )
+    ]
 
 
 NONEX_A = StandardSet.from_columns([3, 2, 1])
@@ -272,19 +289,21 @@ class TestPosets:
                     assert poset.relation[i][j] == leq(a, b)
 
     def test_covers_are_transitive_reduction(self):
-        poset = build_poset(5, "et")
-        cover_set = set(poset.covers)
-        k = len(poset.elements)
+        # the covers, in their order, against the O(k^3) definition
+        for name in ("et", "punc", "dominance"):
+            for n in range(10):
+                poset = build_poset(n, name)
+                assert list(poset.covers) == naive_covers(poset.relation)
+
+    def test_punc_covers_are_transposed_et_covers(self):
+        # a <=punc b iff b^T <=et a^T, so the Hasse diagrams are mirrors
+        et, punc = build_poset(10, "et"), build_poset(10, "punc")
+        where = {s: k for k, s in enumerate(et.elements)}
+        tr = [where[s.transpose()] for s in punc.elements]
+        k = len(tr)
         for i, j in itertools.product(range(k), range(k)):
-            if i == j or not poset.relation[i][j]:
-                assert (i, j) not in cover_set
-                continue
-            through = any(
-                poset.relation[i][m] and poset.relation[m][j]
-                for m in range(k)
-                if m not in (i, j)
-            )
-            assert ((i, j) in cover_set) == (not through)
+            assert punc.relation[i][j] == et.relation[tr[j]][tr[i]]
+        assert {(tr[j], tr[i]) for i, j in punc.covers} == set(et.covers)
 
     def test_to_dot_frozen(self):
         poset = build_poset(3, "punc")
@@ -426,3 +445,33 @@ class TestCertificates:
 
     def test_nonexample_reverse_has_no_certificate(self):
         assert find_certificate(NONEX_B, NONEX_A) is None
+
+
+class TestScalingBudgets:
+    # the exhaustive checks at the sizes the benchmark runs; the answers
+    # are pinned so a fast wrong search cannot pass
+
+    def test_all_certificates_at_n8_within_budget(self):
+        sts = enumerate_staircases(8)
+        start = time.perf_counter()
+        found = 0
+        for a, b in itertools.product(sts, sts):
+            cert = find_certificate(a, b)
+            if cert is not None:
+                found += 1
+                assert check_certificate(cert, a, b)
+        elapsed = time.perf_counter() - start
+        assert len(sts) ** 2 == 484 and found == 235
+        assert elapsed < 4, f"took {elapsed:.1f}s, budget 4s"
+
+    def test_posets_at_n14_within_budget(self):
+        start = time.perf_counter()
+        sizes = {}
+        for name in ("et", "punc", "dominance"):
+            poset = build_poset(14, name)
+            sizes[name] = (len(poset.elements), len(poset.covers))
+        elapsed = time.perf_counter() - start
+        assert sizes == {
+            "et": (135, 525), "punc": (135, 525), "dominance": (135, 247)
+        }
+        assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"

@@ -85,6 +85,43 @@ class TestConstruction:
         assert len({StandardSet([2, 1]), StandardSet([2, 1])}) == 1
 
 
+class TestCachedRows:
+    def test_same_tuple_on_every_call(self):
+        for n in range(7):
+            for s in enumerate_staircases(n):
+                rows = s.rows()
+                assert s.rows() is rows
+                flipped = s.transpose()
+                assert s.rows() is rows
+                assert flipped.rows() == s.cols()
+                assert flipped.transpose().rows() == rows
+
+    def test_conjugate_readings(self):
+        for n in range(7):
+            for s in enumerate_staircases(n):
+                assert StandardSet.from_rows(s.rows()) == s
+                assert StandardSet.from_columns(s.rows()) == s.transpose()
+
+    @pytest.mark.parametrize("read_rows", [False, True])
+    @pytest.mark.parametrize("name", ["column_heights", "_rows", "other"])
+    def test_still_immutable(self, read_rows, name):
+        s = StandardSet([3, 1, 1])
+        if read_rows:
+            s.rows()
+        with pytest.raises(AttributeError):
+            setattr(s, name, (1,))
+        assert s.cols() == (3, 1, 1) and s.rows() == (3, 1, 1)
+
+    def test_reading_rows_changes_no_identity(self):
+        a, b = StandardSet([4, 2, 1]), StandardSet([4, 2, 1])
+        a.rows()
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.to_json() == b.to_json() == '{"columns": [4, 2, 1]}'
+        assert repr(a) == repr(b)
+
+
 class TestGeometry:
     def test_points_small(self):
         assert sorted(StandardSet([3, 1]).points()) == [
