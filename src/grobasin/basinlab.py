@@ -20,12 +20,13 @@ from .groebner import (
     normal_form,
     reduced_groebner_basis,
     staircase_of,
+    substitute,
     tall_point_ideal,
     torus_limit,
     vanishing_ideal,
 )
 from .orders import et_row_partition, leq_et, leq_punc, build_poset
-from .poly import Polynomial, X1, X2
+from .poly import Polynomial, X2
 from .staircase import StandardSet, enumerate_staircases, sum1, sum2
 
 
@@ -90,28 +91,20 @@ def _rand_shift_poly(rng, variable, max_degree, allow_constant):
     return Polynomial({exp(b): c for b, c in coeffs.items()})
 
 
-def _substituted(elements, image1, image2):
-    return Ideal(tuple(g.compose(image1, image2) for g in elements))
-
-
 def _origin_sample(target, rng, max_rejections):
     # walk through the basin with origin-preserving triangular substitutions
-    elements = reduced_groebner_basis(monomial_ideal(target)).elements
+    ideal = monomial_ideal(target)
     rejections = 0
     wanted = rng.randint(2, 4)
     done = 0
     h = max(2, target.height)
     while done < wanted:
         if rng.random() < 0.6:
-            image1 = X1 + _rand_shift_poly(rng, 2, min(h, 3), False)
-            image2 = X2
+            candidate = substitute(ideal, 1, _rand_shift_poly(rng, 2, min(h, 3), False))
         else:
-            image1 = X1
-            image2 = X2 + _rand_shift_poly(rng, 1, 2, False)
-        candidate = _substituted(elements, image1, image2)
-        gb = reduced_groebner_basis(candidate)
-        if gb.staircase == target:
-            elements = gb.elements
+            candidate = substitute(ideal, 2, _rand_shift_poly(rng, 1, 2, False))
+        if staircase_of(candidate) == target:
+            ideal = candidate
             done += 1
         else:
             rejections += 1
@@ -119,15 +112,17 @@ def _origin_sample(target, rng, max_rejections):
                 raise SamplingError(
                     f"no basin sample for cols{target.cols()} within budget"
                 )
-    return elements
+    return ideal
 
 
-def _translated(elements, dx, dy):
-    image1 = X1 - Polynomial.constant(dx) if dx else X1
-    image2 = X2 - Polynomial.constant(dy) if dy else X2
-    if dx or dy:
-        return _substituted(elements, image1, image2).generators
-    return elements
+def _spread(index, sampler, targets, rng, max_rejections):
+    # one sample per target, each translated along x_index to its own
+    # distinct place, intersected
+    places = _distinct_fractions(rng, len(targets))
+    return intersect_comaximal(
+        substitute(sampler(t, rng, max_rejections), index, Polynomial.constant(-z))
+        for t, z in zip(targets, places)
+    )
 
 
 def _axis_sample(target, rng, max_rejections):
@@ -142,19 +137,10 @@ def _axis_sample(target, rng, max_rejections):
             cols[lo:hi]
             for lo, hi in zip([0] + cuts, cuts + [len(cols)])
         ]
-        abscissas = _distinct_fractions(rng, len(groups))
-        factors = []
-        for group, z in zip(groups, abscissas):
-            part = StandardSet.from_columns(group)
-            elements = _origin_sample(part, rng, max_rejections)
-            factors.append(Ideal(_translated(elements, z, 0)))
-        if len(factors) == 1:
-            ideal = factors[0]
-        else:
-            ideal = intersect_comaximal(factors)
-        gb = reduced_groebner_basis(ideal)
-        if gb.staircase == target:
-            return gb.elements
+        parts = [StandardSet.from_columns(group) for group in groups]
+        ideal = _spread(1, _origin_sample, parts, rng, max_rejections)
+        if staircase_of(ideal) == target:
+            return ideal
         rejections += 1
         if rejections > max_rejections:
             raise SamplingError(
@@ -172,20 +158,16 @@ def _free_sample(target, rng):
     for width, lam in zip(rows, lines):
         for x in _distinct_fractions(rng, width):
             points.append((x, lam))
-    return reduced_groebner_basis(vanishing_ideal(points)).elements
+    return vanishing_ideal(points)
 
 
-def _supports_origin(gb_elements, n):
-    data = list(gb_elements)
-    for i in range(n + 1):
-        if not normal_form(Polynomial.monomial((i, n - i)), data).is_zero():
-            return False
-    return True
+def _supports_origin(gb, n):
+    monomials = (Polynomial.monomial((i, n - i)) for i in range(n + 1))
+    return all(normal_form(m, gb).is_zero() for m in monomials)
 
 
-def _supports_line(gb_elements, n, level):
-    shifted = (X2 - Polynomial.constant(level)) ** n
-    return normal_form(shifted, list(gb_elements)).is_zero()
+def _supports_line(gb, n, level):
+    return normal_form((X2 - Polynomial.constant(level)) ** n, gb).is_zero()
 
 
 def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
@@ -195,27 +177,22 @@ def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
     rng = random.Random(f"sample:{spec.seed}")
     target = spec.target
     if spec.support_constraint == "origin":
-        elements = _origin_sample(target, rng, spec.max_rejections)
-    elif spec.support_constraint == "x1_axis":
-        elements = _axis_sample(target, rng, spec.max_rejections)
-    elif spec.support_constraint == "horizontal_line":
-        elements = _axis_sample(target, rng, spec.max_rejections)
-        elements = _translated(elements, 0, Fraction(spec.line))
-        elements = reduced_groebner_basis(Ideal(elements)).elements
+        ideal = _origin_sample(target, rng, spec.max_rejections)
+    elif spec.support_constraint in ("x1_axis", "horizontal_line"):
+        ideal = _axis_sample(target, rng, spec.max_rejections)
+        if spec.line is not None:
+            ideal = substitute(ideal, 2, Polynomial.constant(-Fraction(spec.line)))
     else:
-        elements = _free_sample(target, rng)
-    ideal = Ideal(elements)
+        ideal = _free_sample(target, rng)
     gb = reduced_groebner_basis(ideal)
     n = target.cardinality
     if gb.staircase != target:
         raise SamplingError("sampler output fails its own staircase recheck")
-    if spec.support_constraint == "origin" and not _supports_origin(gb.elements, n):
+    if spec.support_constraint == "origin" and not _supports_origin(gb, n):
         raise SamplingError("sampler output fails the origin support recheck")
-    if spec.support_constraint == "x1_axis" and not _supports_line(gb.elements, n, 0):
+    if spec.support_constraint == "x1_axis" and not _supports_line(gb, n, 0):
         raise SamplingError("sampler output fails the axis support recheck")
-    if spec.support_constraint == "horizontal_line" and not _supports_line(
-        gb.elements, n, Fraction(spec.line)
-    ):
+    if spec.line is not None and not _supports_line(gb, n, Fraction(spec.line)):
         raise SamplingError("sampler output fails the line support recheck")
     return ideal
 
@@ -337,12 +314,7 @@ def run_prop1(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentReport:
         case = f"trial={trial} factors=" + "+".join(_label(t) for t in targets)
         expected = sum1(targets)
         try:
-            abscissas = _distinct_fractions(rng, len(parts))
-            factors = []
-            for t, z in zip(targets, abscissas):
-                elements = _origin_sample(t, rng, 50)
-                factors.append(Ideal(_translated(elements, z, 0)))
-            observed = staircase_of(intersect_comaximal(factors))
+            observed = staircase_of(_spread(1, _origin_sample, targets, rng, 50))
         except SamplingError as exc:
             rec.sampling_failure(case, exc)
             continue
@@ -361,12 +333,7 @@ def run_prop2(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentReport:
         case = f"trial={trial} factors=" + "+".join(_label(t) for t in targets)
         expected = sum2(targets)
         try:
-            levels = _distinct_fractions(rng, len(parts))
-            factors = []
-            for t, lam in zip(targets, levels):
-                elements = _axis_sample(t, rng, 50)
-                factors.append(Ideal(_translated(elements, 0, lam)))
-            observed = staircase_of(intersect_comaximal(factors))
+            observed = staircase_of(_spread(2, _axis_sample, targets, rng, 50))
         except SamplingError as exc:
             rec.sampling_failure(case, exc)
             continue
@@ -384,12 +351,12 @@ def run_divisibility(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentRe
         target = _random_staircase(rng, n)
         case = f"trial={trial} basin={_label(target)}"
         try:
-            elements = _axis_sample(target, rng, 50)
+            ideal = _axis_sample(target, rng, 50)
         except SamplingError as exc:
             rec.sampling_failure(case, exc)
             continue
         bad = None
-        for g in elements:
+        for g in reduced_groebner_basis(ideal).elements:
             a2 = g.leading_exponent()[1]
             if any(e[1] < a2 for e, _ in g.terms):
                 bad = g
@@ -466,11 +433,11 @@ def run_punc_consistency(trials: int, n_max: int = 6, seed: int = 0) -> Experime
         v2 = n * v1 + rng.randint(0, 4)
         case = f"trial={trial} basin={_label(target)} v=({v1},{v2})"
         try:
-            elements = _origin_sample(target, rng, 50)
+            ideal = _origin_sample(target, rng, 50)
         except SamplingError as exc:
             rec.sampling_failure(case, exc)
             continue
-        limit = torus_limit(Ideal(elements), (v1, v2))
+        limit = torus_limit(ideal, (v1, v2))
         monomial = all(len(g.terms) == 1 for g in limit.generators)
         observed = staircase_of(limit)
         ok = monomial and leq_punc(target, observed)
@@ -495,15 +462,15 @@ def run_torus_calibration(trials: int, n_max: int = 6, seed: int = 0) -> Experim
         case = f"trial={trial} basin={_label(target)} mode={mode}"
         try:
             if mode == "origin":
-                elements = _origin_sample(target, rng, 50)
+                ideal = _origin_sample(target, rng, 50)
             elif mode == "x1_axis":
-                elements = _axis_sample(target, rng, 50)
+                ideal = _axis_sample(target, rng, 50)
             else:
-                elements = _free_sample(target, rng)
+                ideal = _free_sample(target, rng)
         except SamplingError as exc:
             rec.sampling_failure(case, exc)
             continue
-        limit = torus_limit(Ideal(elements), (-(n + 1), -1))
+        limit = torus_limit(ideal, (-(n + 1), -1))
         expected = reduced_groebner_basis(monomial_ideal(target)).elements
         observed = reduced_groebner_basis(limit).elements
         rec.record(
@@ -531,7 +498,7 @@ def run_single_column_density(n: int, trials: int, seed: int = 0) -> ExperimentR
         ideal = tall_point_ideal(n, coeffs)
         gb = reduced_groebner_basis(ideal)
         case = f"trial={trial}"
-        ok = gb.staircase == column and _supports_origin(gb.elements, n)
+        ok = gb.staircase == column and _supports_origin(gb, n)
         rec.record(
             case,
             ok,

@@ -59,10 +59,12 @@ class ReducedGroebnerBasis:
     """Monic, tail-reduced, lex-sorted basis plus its staircase.
 
     staircase is None exactly when the leading terms leave infinitely
-    many monomials under the stairs."""
+    many monomials under the stairs.  A basis walked from a quotient
+    carries it (see _quotient); equality and hashing ignore it."""
 
     elements: tuple
     staircase: object
+    quotient: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_zero_dimensional(self) -> bool:
@@ -185,58 +187,103 @@ def _interreduce(basis):
     return reduced
 
 
-def _walk(bases, key):
-    """Reduced basis elements, in the order `key`, of the intersection of
-    the zero-dimensional ideals with the given reduced lex bases.
+def _apply(matrix, vec):
+    # matrix: list of sparse columns; the sparse product with a sparse vector
+    out = {}
+    for j, c in vec.items():
+        for i, a in matrix[j].items():
+            out[i] = out.get(i, 0) + c * a
+    return {i: c for i, c in out.items() if c}
+
+
+def _eliminate(vec, tag, rows):
+    # row-reduce vec plus a column tag < 0 against rows keyed by their pivot,
+    # the largest column, scaled to 1: store a new row, or return a relation
+    work = {**vec, tag: Fraction(1)}
+    while (col := max(work)) in rows:
+        factor = work.pop(col)
+        for c, val in rows[col].items():
+            if c != col:
+                work[c] = work.get(c, 0) - factor * val
+                if not work[c]:
+                    del work[c]
+    if col < 0:
+        return work
+    pivot = work[col]
+    rows[col] = {c: val / pivot for c, val in work.items()}
+    return None
+
+
+def _walk(quotient, key):
+    """Reduced basis elements, in the order `key`, of the ideal of all f
+    with f(M1, M2) one = 0, for a quotient (M1, M2, one).
 
     FGLM (Faugere, Gianni, Lazard and Mora 1993), in the form of Marinari,
-    Moeller and Mora (1993) for several ideals.  Monomials m are visited
-    upward in `key` from 1, past multiples of the leads found.  The normal
-    forms of m, a visited predecessor's times x1 or x2, are concatenated
-    with a column (-1, m) below them and row-reduced against the earlier
-    standard monomials: a new row, or with only (-1, .) columns left, the
-    next monic element.
+    Moeller and Mora (1993).  Monomials m are visited upward in `key` from
+    1, past multiples of the leads found; the vector of m is a visited
+    predecessor's times M1 or M2.  With a column -1 - k for the k-th
+    standard monomial it is row-reduced against the earlier ones: a new
+    row, or with only negative columns left, the next monic element.
     """
-    datas = [_basis_data(b) for b in bases]
-    # normal forms of the standard monomials; 1 comes from the unreduced
-    # forms of a predecessor None, and a monomial already in forms was
-    # reached before from its other predecessor
-    forms = {None: [{(0, 0): Fraction(1)}] * len(datas)}
-    heap = [(key((0, 0)), (0, 0), None, (0, 0))]
-    rows, leads, elements = {}, [], []
+    heap = [(key((0, 0)), (0, 0), None, 0)]
+    rows, vectors, standard, leads, elements = {}, {}, [], [], []
     while heap:
-        _, m, pred, var = heapq.heappop(heap)
-        if m in forms or any(l[0] <= m[0] and l[1] <= m[1] for l in leads):
+        _, m, pred, k = heapq.heappop(heap)
+        if m in vectors or any(l[0] <= m[0] and l[1] <= m[1] for l in leads):
             continue
-        nfs = [
-            _nf_terms({(e[0] + var[0], e[1] + var[1]): c for e, c in f.items()}, d)
-            for f, d in zip(forms[pred], datas)
-        ]
-        work = {(k, e): c for k, f in enumerate(nfs) for e, c in f.items()}
-        work[(-1, m)] = Fraction(1)
-        col = max(work)
-        while col in rows:
-            factor = work[col] / rows[col][col]
-            for c, val in rows[col].items():
-                work[c] = work.get(c, 0) - factor * val
-            work = {c: val for c, val in work.items() if val}
-            col = max(work)
-        if col[0] < 0:
+        vec = quotient[2] if pred is None else _apply(quotient[k], vectors[pred])
+        relation = _eliminate(vec, -1 - len(standard), rows)
+        if relation is None:
+            vectors[m] = vec
+            standard.append(m)
+            for k, nxt in enumerate(((m[0] + 1, m[1]), (m[0], m[1] + 1))):
+                heapq.heappush(heap, (key(nxt), nxt, m, k))
+        else:
             leads.append(m)
-            elements.append(Polynomial({e: c for (_, e), c in work.items()}))
-            continue
-        rows[col], forms[m] = work, nfs
-        for var in ((1, 0), (0, 1)):
-            nxt = (m[0] + var[0], m[1] + var[1])
-            heapq.heappush(heap, (key(nxt), nxt, m, var))
+            names = standard + [m]
+            elements.append(Polynomial({names[-1 - t]: c for t, c in relation.items()}))
     return elements
 
 
-def _as_basis(elements):
+def _lex_basis(quotient):
+    # the zero weight refined by lex is lex
+    return _as_basis(_walk(quotient, _weight_key((0, 0))), quotient)
+
+
+def _on_monomials(standard, normal_form):
+    # the quotient on a basis of standard monomials, given the normal form
+    # (a dict over them) of every other monomial
+    index = {e: k for k, e in enumerate(standard)}
+
+    def vector(e):
+        if e in index:
+            return {index[e]: Fraction(1)}
+        return {index[f]: c for f, c in normal_form(e).items()}
+
+    m1 = [vector((e[0] + 1, e[1])) for e in standard]
+    m2 = [vector((e[0], e[1] + 1)) for e in standard]
+    return m1, m2, vector((0, 0))
+
+
+def _quotient(gb):
+    """The quotient as (M1, M2, one): the matrices of x1 and x2, lists of
+    sparse columns {row: entry}, and the image of 1; the carried one, or
+    the one on the lex standard monomials of a zero-dimensional ideal."""
+    if gb.quotient is not None:
+        return gb.quotient
+    data = _basis_data(gb.elements)
+    return _on_monomials(
+        sorted(gb.staircase.points()), lambda e: _nf_terms({e: Fraction(1)}, data)
+    )
+
+
+def _as_basis(elements, quotient=None):
     # reduced lex basis elements, in any order
     elements = sorted(elements, key=Polynomial.leading_exponent)
     corners = [g.leading_exponent() for g in elements]
-    return ReducedGroebnerBasis(tuple(elements), _staircase_from_corners(corners))
+    return ReducedGroebnerBasis(
+        tuple(elements), _staircase_from_corners(corners), quotient
+    )
 
 
 def _staircase_from_corners(corners):
@@ -281,11 +328,11 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 def intersect_comaximal(ideals) -> Ideal:
     """Intersection of pairwise comaximal zero-dimensional ideals.
 
-    Computed by one lex walk over the factors' reduced bases (a single
-    factor is its own intersection and needs none); the result carries its
-    reduced basis.  The staircase cardinality of the result
-    must equal the sum over the factors; a mismatch means the supports
-    were not disjoint and raises ValueError.
+    One lex walk over the block-diagonal sum of the factors' quotients
+    (Chinese remainder) gives the reduced basis the result carries; a
+    single factor is its own intersection.  A staircase cardinality other
+    than the factors' sum means the supports were not disjoint and raises
+    ValueError.
     """
     bases = [reduced_groebner_basis(i) for i in ideals]
     if not bases:
@@ -294,21 +341,23 @@ def intersect_comaximal(ideals) -> Ideal:
         raise NotZeroDimensional("ideal is not zero-dimensional")
     if len(bases) == 1:
         return Ideal(bases[0])
-    # the zero weight refined by lex is lex
-    result = _as_basis(_walk([gb.elements for gb in bases], _weight_key((0, 0))))
+    m1, m2, one = [], [], {}
+    for gb in bases:
+        f1, f2, f_one = _quotient(gb)
+        shift = len(m1)
+        m1 += [{i + shift: c for i, c in col.items()} for col in f1]
+        m2 += [{i + shift: c for i, c in col.items()} for col in f2]
+        one.update((i + shift, c) for i, c in f_one.items())
+    result = _lex_basis((m1, m2, one))
     if result.staircase.cardinality != sum(gb.staircase.cardinality for gb in bases):
         raise ValueError("supports not disjoint")
     return Ideal(result)
 
 
 def point_ideal(point) -> Ideal:
+    """The ideal of one rational point, walked from its 1x1 quotient."""
     a, b = Fraction(point[0]), Fraction(point[1])
-    return Ideal(
-        (
-            Polynomial({(1, 0): 1, (0, 0): -a}),
-            Polynomial({(0, 1): 1, (0, 0): -b}),
-        )
-    )
+    return Ideal(_lex_basis(([{0: a}], [{0: b}], {0: Fraction(1)})))
 
 
 def vanishing_ideal(points) -> Ideal:
@@ -357,96 +406,48 @@ def _initial_form(terms, v):
     )
 
 
-def _nullspace(matrix, ncols):
-    # matrix: list of rows (lists of Fractions); basis of the null space
-    m = [row[:] for row in matrix]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        hit = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
-        if hit is None:
-            continue
-        m[r], m[hit] = m[hit], m[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c] != 0:
-                factor = m[k][c]
-                m[k] = [x - factor * y for x, y in zip(m[k], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -m[pr][c]
-        basis.append(vec)
-    return basis
+def _punctual_limit(quotient, n, v):
+    """Reduced lex basis of the weight-v limit of the colength n ideal with
+    this quotient.
 
-
-def _echelon_initial_forms(vectors, v):
-    # vectors: list of dicts exponent -> Fraction; echelonize with pivots
-    # minimal in (v-weight, lex) and return the v-minimal parts
-    v1, v2 = v
-
-    def tau(e):
-        return (e[0] * v1 + e[1] * v2, e)
-
-    basis = []
-    for vec in vectors:
-        vec = {e: c for e, c in vec.items() if c}
-        while vec:
-            pivot = min(vec, key=tau)
-            hit = next((b for b in basis if b[0] == pivot), None)
-            if hit is None:
-                break
-            factor = vec[pivot] / hit[1][pivot]
-            for e, c in hit[1].items():
-                val = vec.get(e, Fraction(0)) - factor * c
-                if val:
-                    vec[e] = val
-                else:
-                    vec.pop(e, None)
+    Supported at the origin, the ideal holds (x1, x2)^n, and the monomials
+    of degree < n span its quotient.  Row-reduced in descending (v-weight,
+    lex), each dependent m gives m - (standard monomials before it) in the
+    ideal; their v-minimal parts and (x1, x2)^n span the limit."""
+    m1, m2, one = quotient
+    # support at the origin means x1^n, x2^n in the ideal; checked with 2n
+    # sparse mat-vecs before the grid of n(n+1)/2 vectors is built
+    for mat in (m1, m2):
+        vec = one
+        for _ in range(n):
+            vec = _apply(mat, vec)
         if vec:
-            basis.append((min(vec, key=tau), vec))
-    return [_initial_form(vec, v) for _, vec in basis]
-
-
-def _punctual_limit(gb: ReducedGroebnerBasis, v) -> Ideal:
-    n = gb.staircase.cardinality
-    data = _basis_data(gb.elements)
-    stairs = sorted(gb.staircase.points())
-    index = {e: k for k, e in enumerate(stairs)}
-
-    def nf_vector(exp):
-        rem = _nf_terms({exp: Fraction(1)}, data)
-        vec = [Fraction(0)] * n
-        for e, c in rem.items():
-            vec[index[e]] = c
-        return vec
-
-    for i in range(n + 1):
-        rem = _nf_terms({(i, n - i): Fraction(1)}, data)
-        if rem:
             raise LimitDoesNotExist(
                 "limit does not exist in the Hilbert scheme: "
                 "ideal is not supported at the origin"
             )
-    monos = [(i, j) for i in range(n) for j in range(n - i)]
-    columns = [nf_vector(mexp) for mexp in monos]
-    rows = [[col[s] for col in columns] for s in range(n)]
-    kernel = _nullspace(rows, len(monos))
-    vectors = [
-        {monos[k]: c for k, c in enumerate(vec) if c} for vec in kernel
-    ]
-    forms = _echelon_initial_forms(vectors, v)
-    gens = forms + [
-        Polynomial.monomial((i, n - i)) for i in range(n + 1)
-    ]
-    return Ideal(tuple(gens))
+    vectors = {(0, 0): one}
+    for d in range(1, n):
+        vectors[(0, d)] = _apply(m2, vectors[(0, d - 1)])
+        for i in range(1, d + 1):
+            vectors[(i, d - i)] = _apply(m1, vectors[(i - 1, d - i)])
+
+    def weight(e):
+        return e[0] * v[0] + e[1] * v[1]
+
+    rows, standard, forms = {}, [], {}
+    for m in sorted(vectors, key=lambda e: (weight(e), e), reverse=True):
+        relation = _eliminate(vectors[m], -1 - len(standard), rows)
+        if relation is None:
+            standard.append(m)
+            continue
+        del relation[-1 - len(standard)]
+        forms[m] = {
+            standard[-1 - t]: -c
+            for t, c in relation.items()
+            if weight(standard[-1 - t]) == weight(m)
+        }
+    return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, {})))
 
 
 def torus_limit(ideal: Ideal, v) -> Ideal:
@@ -460,23 +461,53 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
     Hilbert scheme and LimitDoesNotExist is raised.
     """
     v1, v2 = int(v[0]), int(v[1])
+    n = staircase_of(ideal).cardinality
     gb = reduced_groebner_basis(ideal)
-    if gb.staircase is None:
-        raise NotZeroDimensional("ideal is not zero-dimensional")
-    n = gb.staircase.cardinality
     if v1 <= 0 and v2 <= 0:
         # the v-minimal parts of the reduced weight basis are the reduced
         # lex basis of the limit; equal leads make the lex basis that basis
         key = _weight_key((v1, v2))
         weighted = gb.elements
         if any(g.leading_under(key)[0] != g.terms[0][0] for g in weighted):
-            weighted = _walk([weighted], key)
+            weighted = _walk(_quotient(gb), key)
         limit_gb = _as_basis(_initial_form(dict(g.terms), (v1, v2)) for g in weighted)
     else:
-        limit_gb = reduced_groebner_basis(_punctual_limit(gb, (v1, v2)))
+        limit_gb = _punctual_limit(_quotient(gb), n, (v1, v2))
     if limit_gb.staircase is None or limit_gb.staircase.cardinality != n:
         raise LimitDoesNotExist("limit does not exist in the Hilbert scheme")
     return Ideal(limit_gb)
+
+
+def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
+    """The ideal of all g(x1 + p(x2), x2), or for index 2 of all
+    g(x1, x2 + p(x1)), with g in a zero-dimensional ideal.
+
+    p must not involve x_index; a constant p translates the support by -p.
+    The inverse substitution x_index -> x_index - p makes M_index - p(M_other)
+    the new matrix, and one lex walk gives the basis the result carries.
+    """
+    if any(e[index - 1] for e, _ in p.terms):
+        raise ValueError(f"p must not involve x{index}")
+    if p.is_zero():
+        return ideal
+    gb = reduced_groebner_basis(ideal)
+    if gb.staircase is None:
+        raise NotZeroDimensional("ideal is not zero-dimensional")
+    quotient = list(_quotient(gb))
+    other = quotient[2 - index]
+    coeffs = {e[2 - index]: c for e, c in p.terms}
+    moved = []
+    for j, col in enumerate(quotient[index - 1]):
+        col, power = dict(col), {j: Fraction(1)}
+        for b in range(max(coeffs) + 1):
+            if b:
+                power = _apply(other, power)
+            if b in coeffs:
+                for i, c in power.items():
+                    col[i] = col.get(i, 0) - coeffs[b] * c
+        moved.append({i: c for i, c in col.items() if c})
+    quotient[index - 1] = moved
+    return Ideal(_lex_basis(tuple(quotient)))
 
 
 def parse_ideal_text(text: str) -> Ideal:

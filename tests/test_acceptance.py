@@ -5,7 +5,10 @@ wall-clock budget."""
 
 import contextlib
 import itertools
+import pathlib
 import time
+
+import pytest
 
 from grobasin.basinlab import (
     run_divisibility,
@@ -242,3 +245,21 @@ def test_criterion_15_certificates():
                 assert check_certificate(cert, a, b)
                 assert incidence_filter(a, b)
         assert found >= 116
+
+
+@pytest.mark.parametrize(
+    "num,suite,runner",
+    [
+        (16, "prop1", run_prop1),
+        (17, "prop2", run_prop2),
+        (18, "divisibility", run_divisibility),
+        (19, "calibration", run_torus_calibration),
+        (20, "punc", run_punc_consistency),
+    ],
+    ids=lambda p: p if isinstance(p, str) else None,
+)
+def test_criteria_16_to_20_sampler_suites_at_nmax_16(num, suite, runner):
+    golden = pathlib.Path(__file__).parent / "data" / f"verify_nmax16_{suite}.json"
+    with _within(10, num, f"{suite} at n_max 16 reproduces its golden report"):
+        report = runner(100, n_max=16, seed=0)
+        assert report.to_json() + "\n" == golden.read_text()

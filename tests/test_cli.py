@@ -1,8 +1,11 @@
 import json
+import pathlib
 
 import pytest
 
 from grobasin.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, argv):
@@ -276,6 +279,13 @@ class TestVerify:
         data = json.loads(out)
         assert data["experiment_name"] == "refinement"
         assert data["cases_passed"] == data["cases_run"]
+
+    def test_defaults_match_golden_reports(self, capsys):
+        # all ten suites at their defaults, seed 0, byte for byte: a changed
+        # rng draw, rejection or staircase anywhere in a suite shows here
+        code, out, _ = run(capsys, ["verify", "--json", "--seed", "0"])
+        assert code == 0
+        assert out == (DATA / "verify_defaults_seed0.jsonl").read_text()
 
     def test_sampling_suite(self, capsys):
         code, out, _ = run(

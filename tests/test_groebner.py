@@ -333,7 +333,7 @@ class TestTorusLimit:
             tall_point_ideal(3, [0, 1, Fraction(1, 2)]),
             ideal_product(point_ideal((0, 0)), point_ideal((0, 0))),
         ]
-        from grobasin.groebner import _punctual_limit
+        from grobasin.groebner import _punctual_limit, _quotient
 
         for ideal in ideals:
             gb = reduced_groebner_basis(ideal)
@@ -341,10 +341,12 @@ class TestTorusLimit:
                 global_route = reduced_groebner_basis(
                     torus_limit(ideal, v)
                 ).elements
-                punctual = reduced_groebner_basis(
-                    _punctual_limit(gb, v)
+                punctual = _punctual_limit(
+                    _quotient(gb), gb.staircase.cardinality, v
                 ).elements
                 assert global_route == punctual
+                # the punctual walk's output is a reduced basis
+                assert reduced_groebner_basis(Ideal(list(punctual))).elements == punctual
 
     def test_calibration_weight_recovers_staircase(self):
         ideal = vanishing_ideal([(0, 0), (1, 0), (0, 1)])
@@ -414,6 +416,20 @@ class TestScalingBudgets:
         limit = torus_limit(ideal, (-1, -1))
         elapsed = time.perf_counter() - start
         assert limit.generators == (P("x2"), P("x1^20000"))
+        assert elapsed < 5, f"took {elapsed:.1f}s, budget 5s"
+
+    def test_punctual_limit_off_the_origin_fails_fast(self):
+        # origin support is checked on x1^n and x2^n before the quotient's
+        # degree < n grid (here 2*10^8 monomials) is built
+        ideal = Ideal((P("x1^20000 - 1"), P("x2")))
+        start = time.perf_counter()
+        with pytest.raises(
+            LimitDoesNotExist,
+            match="^limit does not exist in the Hilbert scheme: "
+            "ideal is not supported at the origin$",
+        ):
+            torus_limit(ideal, (1, 1))
+        elapsed = time.perf_counter() - start
         assert elapsed < 5, f"took {elapsed:.1f}s, budget 5s"
 
     def test_vanishing_ideal_of_32_points_within_budget(self):

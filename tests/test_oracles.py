@@ -3,7 +3,9 @@
 sympy's lex and grlex Groebner bases over QQ are compared with
 reduced_groebner_basis, intersect_comaximal and torus_limit on seeded
 random ideals, and vanishing_ideal and the free sampler are checked
-against the closed form of the lex staircase of a point set.
+against the closed form of the lex staircase of a point set.  The
+quotient matrices behind substitute and the samplers are checked against
+Polynomial.compose plus Buchberger, and for commuting.
 """
 
 import random
@@ -12,14 +14,17 @@ from fractions import Fraction
 
 import pytest
 
-from grobasin.basinlab import _free_sample
+from grobasin.basinlab import BasinSampleSpec, _free_sample, sample_basin_ideal
 from grobasin.groebner import (
     Ideal,
     NotZeroDimensional,
+    _quotient,
     ideal_product,
     intersect_comaximal,
+    monomial_ideal,
     point_ideal,
     reduced_groebner_basis,
+    substitute,
     tall_point_ideal,
     torus_limit,
     vanishing_ideal,
@@ -284,5 +289,105 @@ def test_free_sample_lands_in_target_first_time(cols, seed):
     # Cerlienco-Mureddu: |row_i| points on the i-th of distinct lines have
     # exactly the rows of target as their lex staircase
     target = StandardSet.from_columns(cols)
-    elements = _free_sample(target, random.Random(f"free:{seed}"))
-    assert reduced_groebner_basis(Ideal(elements)).staircase == target
+    ideal = _free_sample(target, random.Random(f"free:{seed}"))
+    assert reduced_groebner_basis(Ideal(list(ideal.generators))).staircase == target
+
+
+def _small(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+
+
+def _substitution_start(rng):
+    """A zero-dimensional ideal of one of three kinds: monomial, colength
+    <= 10 (no carried quotient); up to 6 integer points (a block-diagonal
+    quotient); or monomial bent by x1 -> x1 + c*x2 (a carried quotient)."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        points = set()
+        n = rng.randint(1, 6)
+        while len(points) < n:
+            points.add((rng.randint(-3, 3), rng.randint(-3, 3)))
+        return vanishing_ideal(sorted(points))
+    ideal = monomial_ideal(rng.choice(enumerate_staircases(rng.randint(1, 10))))
+    if kind == 2:
+        ideal = substitute(ideal, 1, Polynomial.monomial((0, 1), _small(rng)))
+    return ideal
+
+
+def _shift(rng, index, constant):
+    # a constant, or 1-2 terms of degree 1-3 in the variable other than x_index
+    if constant:
+        return Polynomial.constant(_small(rng))
+    exps = [(0, b) if index == 1 else (b, 0) for b in range(1, 4)]
+    return Polynomial({e: _small(rng) for e in rng.sample(exps, rng.randint(1, 2))})
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_substitute_matches_compose_then_buchberger(seed):
+    rng = random.Random(5000 + seed)
+    ideal = _substitution_start(rng)
+    index = 1 + seed % 2
+    p = _shift(rng, index, constant=seed % 4 >= 2)
+    image1, image2 = (X1 + p, X2) if index == 1 else (X1, X2 + p)
+    expected = reduced_groebner_basis(
+        Ideal([g.compose(image1, image2) for g in ideal.generators])
+    )
+    ours = substitute(ideal, index, p)
+    assert ours.basis == expected
+    assert ours.generators == expected.elements
+
+
+def test_substitute_rejects_the_substituted_variable():
+    with pytest.raises(ValueError, match="must not involve x1"):
+        substitute(point_ideal((0, 0)), 1, X1)
+    with pytest.raises(NotZeroDimensional):
+        substitute(Ideal((X1,)), 2, X1)
+
+
+def _matvec(matrix, vec):
+    out = {}
+    for j, c in vec.items():
+        for i, a in matrix[j].items():
+            out[i] = out.get(i, 0) + c * a
+    return {i: c for i, c in out.items() if c}
+
+
+def _evaluate(g, m1, m2, one):
+    # g(M1, M2) applied to one
+    total = {}
+    for (a, b), c in g.terms:
+        vec = one
+        for _ in range(a):
+            vec = _matvec(m1, vec)
+        for _ in range(b):
+            vec = _matvec(m2, vec)
+        for i, x in vec.items():
+            total[i] = total.get(i, 0) + c * x
+    return {i: x for i, x in total.items() if x}
+
+
+_SPECS = [
+    (t.cols(), constraint)
+    for n in range(1, 8)
+    for t in enumerate_staircases(n)
+    for constraint in ("origin", "x1_axis", "horizontal_line", "free")
+]
+
+
+@pytest.mark.parametrize("cols,constraint", _SPECS, ids=str)
+def test_sampled_quotients_commute_and_annihilate_the_basis(cols, constraint):
+    target = StandardSet.from_columns(cols)
+    spec = BasinSampleSpec(
+        target,
+        constraint,
+        line=Fraction(-3, 2) if constraint == "horizontal_line" else None,
+        seed=sum(cols),
+    )
+    gb = reduced_groebner_basis(sample_basin_ideal(spec))
+    m1, m2, one = _quotient(gb)
+    assert len(m1) == len(m2) == target.cardinality
+    for j in range(len(m1)):
+        unit = {j: Fraction(1)}
+        assert _matvec(m1, _matvec(m2, unit)) == _matvec(m2, _matvec(m1, unit))
+    for g in gb.elements:
+        assert _evaluate(g, m1, m2, one) == {}
