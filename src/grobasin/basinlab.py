@@ -21,6 +21,7 @@ from .groebner import (
     reduced_groebner_basis,
     staircase_of,
     substitute,
+    supported_at_origin,
     tall_point_ideal,
     torus_limit,
     vanishing_ideal,
@@ -161,11 +162,6 @@ def _free_sample(target, rng):
     return vanishing_ideal(points)
 
 
-def _supports_origin(gb, n):
-    monomials = (Polynomial.monomial((i, n - i)) for i in range(n + 1))
-    return all(normal_form(m, gb).is_zero() for m in monomials)
-
-
 def _supports_line(gb, n, level):
     return normal_form((X2 - Polynomial.constant(level)) ** n, gb).is_zero()
 
@@ -188,7 +184,7 @@ def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
     n = target.cardinality
     if gb.staircase != target:
         raise SamplingError("sampler output fails its own staircase recheck")
-    if spec.support_constraint == "origin" and not _supports_origin(gb, n):
+    if spec.support_constraint == "origin" and not supported_at_origin(gb):
         raise SamplingError("sampler output fails the origin support recheck")
     if spec.support_constraint == "x1_axis" and not _supports_line(gb, n, 0):
         raise SamplingError("sampler output fails the axis support recheck")
@@ -498,7 +494,7 @@ def run_single_column_density(n: int, trials: int, seed: int = 0) -> ExperimentR
         ideal = tall_point_ideal(n, coeffs)
         gb = reduced_groebner_basis(ideal)
         case = f"trial={trial}"
-        ok = gb.staircase == column and _supports_origin(gb, n)
+        ok = gb.staircase == column and supported_at_origin(gb)
         rec.record(
             case,
             ok,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import Polynomial, format_polynomial, parse_polynomial
 from .staircase import StandardSet
@@ -60,7 +61,8 @@ class ReducedGroebnerBasis:
 
     staircase is None exactly when the leading terms leave infinitely
     many monomials under the stairs.  A basis walked from a quotient
-    carries it (see _quotient); equality and hashing ignore it."""
+    carries it, and any other gets it when first asked (see _quotient);
+    equality and hashing ignore it."""
 
     elements: tuple
     staircase: object
@@ -187,30 +189,81 @@ def _interreduce(basis):
     return reduced
 
 
-def _apply(matrix, vec):
-    # matrix: list of sparse columns; the sparse product with a sparse vector
+def _reduced(entries, den):
+    # the vector entries / den with a positive denominator and no content
+    g = gcd(den, *entries.values())
+    if den < 0:
+        g = -g
+    if g == 1:
+        return entries, den
+    return {i: c // g for i, c in entries.items()}, den // g
+
+
+def _vector(coeffs):
+    # a dict of Fractions as integer entries over their least common
+    # denominator; this is already free of content
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {i: c.numerator * (den // c.denominator) for i, c in coeffs.items() if c}, den
+
+
+def _sum(vectors):
+    # the sum of vectors (entries, den), over the lcm of their denominators
+    den = lcm(*(d for _, d in vectors))
     out = {}
-    for j, c in vec.items():
-        for i, a in matrix[j].items():
+    for entries, d in vectors:
+        scale = den // d
+        for i, c in entries.items():
+            out[i] = out.get(i, 0) + c * scale
+    return _reduced({i: c for i, c in out.items() if c}, den)
+
+
+def _matrix(columns):
+    # columns (entries, den) as integer columns over one common denominator
+    den = lcm(*(d for _, d in columns))
+    return [{i: c * (den // d) for i, c in col.items()} for col, d in columns], den
+
+
+def _apply(matrix, vec):
+    # (integer columns, den) times (integer entries, den); one content
+    # division per product
+    cols, mden = matrix
+    entries, vden = vec
+    out = {}
+    for j, c in entries.items():
+        for i, a in cols[j].items():
             out[i] = out.get(i, 0) + c * a
-    return {i: c for i, c in out.items() if c}
+    return _reduced({i: c for i, c in out.items() if c}, mden * vden)
 
 
 def _eliminate(vec, tag, rows):
-    # row-reduce vec plus a column tag < 0 against rows keyed by their pivot,
-    # the largest column, scaled to 1: store a new row, or return a relation
-    work = {**vec, tag: Fraction(1)}
+    # row-reduce the vector plus a column tag < 0 holding its denominator
+    # against primitive integer rows keyed by their pivot, the largest
+    # column, fraction-free: each step cross-multiplies with the pivot, and
+    # the content is divided out once at the end (measured faster than
+    # once per step, whose big-integer gcds cost more than they save).
+    # Store the new row, or return a relation
+    entries, den = vec
+    work = {**entries, tag: den}
     while (col := max(work)) in rows:
-        factor = work.pop(col)
-        for c, val in rows[col].items():
+        row = rows[col]
+        a, p = work.pop(col), row[col]
+        g = gcd(a, p)
+        a, p = a // g, p // g
+        if p != 1:
+            work = {c: val * p for c, val in work.items()}
+        for c, val in row.items():
             if c != col:
-                work[c] = work.get(c, 0) - factor * val
-                if not work[c]:
+                val = work.get(c, 0) - a * val
+                if val:
+                    work[c] = val
+                else:
                     del work[c]
+    g = gcd(*work.values())
+    if g != 1:
+        work = {c: val // g for c, val in work.items()}
     if col < 0:
         return work
-    pivot = work[col]
-    rows[col] = {c: val / pivot for c, val in work.items()}
+    rows[col] = work
     return None
 
 
@@ -223,7 +276,8 @@ def _walk(quotient, key):
     1, past multiples of the leads found; the vector of m is a visited
     predecessor's times M1 or M2.  With a column -1 - k for the k-th
     standard monomial it is row-reduced against the earlier ones: a new
-    row, or with only negative columns left, the next monic element.
+    row, or with only negative columns left, the next element, made monic
+    on the column of m.
     """
     heap = [(key((0, 0)), (0, 0), None, 0)]
     rows, vectors, standard, leads, elements = {}, {}, [], [], []
@@ -241,7 +295,10 @@ def _walk(quotient, key):
         else:
             leads.append(m)
             names = standard + [m]
-            elements.append(Polynomial({names[-1 - t]: c for t, c in relation.items()}))
+            lead = relation[-1 - len(standard)]
+            elements.append(
+                Polynomial({names[-1 - t]: Fraction(c, lead) for t, c in relation.items()})
+            )
     return elements
 
 
@@ -252,29 +309,35 @@ def _lex_basis(quotient):
 
 def _on_monomials(standard, normal_form):
     # the quotient on a basis of standard monomials, given the normal form
-    # (a dict over them) of every other monomial
+    # (a vector over them) of every other monomial
     index = {e: k for k, e in enumerate(standard)}
 
     def vector(e):
         if e in index:
-            return {index[e]: Fraction(1)}
-        return {index[f]: c for f, c in normal_form(e).items()}
+            return {index[e]: 1}, 1
+        entries, den = normal_form(e)
+        return {index[f]: c for f, c in entries.items()}, den
 
-    m1 = [vector((e[0] + 1, e[1])) for e in standard]
-    m2 = [vector((e[0], e[1] + 1)) for e in standard]
+    m1 = _matrix([vector((e[0] + 1, e[1])) for e in standard])
+    m2 = _matrix([vector((e[0], e[1] + 1)) for e in standard])
     return m1, m2, vector((0, 0))
 
 
 def _quotient(gb):
-    """The quotient as (M1, M2, one): the matrices of x1 and x2, lists of
-    sparse columns {row: entry}, and the image of 1; the carried one, or
-    the one on the lex standard monomials of a zero-dimensional ideal."""
-    if gb.quotient is not None:
-        return gb.quotient
-    data = _basis_data(gb.elements)
-    return _on_monomials(
-        sorted(gb.staircase.points()), lambda e: _nf_terms({e: Fraction(1)}, data)
-    )
+    """The quotient as (M1, M2, one): the matrices of x1 and x2 and the
+    image of 1, the carried one or the one on the lex standard monomials
+    of a zero-dimensional ideal, which the basis then carries.  A vector
+    is (entries, den), a sparse dict {row: integer} over one positive
+    denominator with no common content; a matrix is (columns, den), sparse
+    integer columns over one positive denominator."""
+    if gb.quotient is None:
+        data = _basis_data(gb.elements)
+        quotient = _on_monomials(
+            sorted(gb.staircase.points()),
+            lambda e: _vector(_nf_terms({e: Fraction(1)}, data)),
+        )
+        object.__setattr__(gb, "quotient", quotient)
+    return gb.quotient
 
 
 def _as_basis(elements, quotient=None):
@@ -341,33 +404,36 @@ def intersect_comaximal(ideals) -> Ideal:
         raise NotZeroDimensional("ideal is not zero-dimensional")
     if len(bases) == 1:
         return Ideal(bases[0])
-    m1, m2, one = [], [], {}
+    m1, m2, ones, shift = [], [], [], 0
     for gb in bases:
-        f1, f2, f_one = _quotient(gb)
-        shift = len(m1)
-        m1 += [{i + shift: c for i, c in col.items()} for col in f1]
-        m2 += [{i + shift: c for i, c in col.items()} for col in f2]
-        one.update((i + shift, c) for i, c in f_one.items())
-    result = _lex_basis((m1, m2, one))
+        (f1, den1), (f2, den2), (f_one, den_one) = _quotient(gb)
+        m1 += [({i + shift: c for i, c in col.items()}, den1) for col in f1]
+        m2 += [({i + shift: c for i, c in col.items()}, den2) for col in f2]
+        ones.append(({i + shift: c for i, c in f_one.items()}, den_one))
+        shift += len(f1)
+    result = _lex_basis((_matrix(m1), _matrix(m2), _sum(ones)))
     if result.staircase.cardinality != sum(gb.staircase.cardinality for gb in bases):
         raise ValueError("supports not disjoint")
     return Ideal(result)
 
 
 def point_ideal(point) -> Ideal:
-    """The ideal of one rational point, walked from its 1x1 quotient."""
-    a, b = Fraction(point[0]), Fraction(point[1])
-    return Ideal(_lex_basis(([{0: a}], [{0: b}], {0: Fraction(1)})))
+    """The ideal of one rational point."""
+    return vanishing_ideal([point])
 
 
 def vanishing_ideal(points) -> Ideal:
-    """Ideal of a finite set of distinct rational points."""
+    """Ideal of a finite set of distinct rational points.
+
+    One lex walk over the diagonal quotient: the k-th point's coordinates
+    on the diagonals of M1 and M2, and one = (1, ..., 1)."""
     pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     if not pts:
         raise ValueError("need at least one point")
-    return intersect_comaximal(point_ideal(p) for p in pts)
+    m1, m2 = (_matrix([_vector({k: p[i]}) for k, p in enumerate(pts)]) for i in (0, 1))
+    return Ideal(_lex_basis((m1, m2, (dict.fromkeys(range(len(pts)), 1), 1))))
 
 
 def tall_point_ideal(height: int, coefficients) -> Ideal:
@@ -410,22 +476,12 @@ def _punctual_limit(quotient, n, v):
     """Reduced lex basis of the weight-v limit of the colength n ideal with
     this quotient.
 
-    Supported at the origin, the ideal holds (x1, x2)^n, and the monomials
-    of degree < n span its quotient.  Row-reduced in descending (v-weight,
-    lex), each dependent m gives m - (standard monomials before it) in the
-    ideal; their v-minimal parts and (x1, x2)^n span the limit."""
+    The ideal must be supported at the origin (see supported_at_origin):
+    then it holds (x1, x2)^n, and the monomials of degree < n span its
+    quotient.  Row-reduced in descending (v-weight, lex), each dependent m
+    gives m - (standard monomials before it) in the ideal; their v-minimal
+    parts and (x1, x2)^n span the limit."""
     m1, m2, one = quotient
-    # support at the origin means x1^n, x2^n in the ideal; checked with 2n
-    # sparse mat-vecs before the grid of n(n+1)/2 vectors is built
-    for mat in (m1, m2):
-        vec = one
-        for _ in range(n):
-            vec = _apply(mat, vec)
-        if vec:
-            raise LimitDoesNotExist(
-                "limit does not exist in the Hilbert scheme: "
-                "ideal is not supported at the origin"
-            )
     vectors = {(0, 0): one}
     for d in range(1, n):
         vectors[(0, d)] = _apply(m2, vectors[(0, d - 1)])
@@ -441,13 +497,34 @@ def _punctual_limit(quotient, n, v):
         if relation is None:
             standard.append(m)
             continue
-        del relation[-1 - len(standard)]
-        forms[m] = {
-            standard[-1 - t]: -c
-            for t, c in relation.items()
-            if weight(standard[-1 - t]) == weight(m)
-        }
-    return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, {})))
+        lead = relation.pop(-1 - len(standard))
+        forms[m] = _reduced(
+            {
+                standard[-1 - t]: -c
+                for t, c in relation.items()
+                if weight(standard[-1 - t]) == weight(m)
+            },
+            lead,
+        )
+    return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, ({}, 1))))
+
+
+def supported_at_origin(gb: ReducedGroebnerBasis) -> bool:
+    """Whether a zero-dimensional ideal is supported at the origin alone.
+
+    With colength n that holds iff x1^n and x2^n lie in the ideal (its
+    local algebra at the origin then has length n, so (x1, x2)^n is in
+    it): 2n sparse mat-vecs on the quotient."""
+    if gb.staircase is None:
+        raise NotZeroDimensional("ideal is not zero-dimensional")
+    m1, m2, one = _quotient(gb)
+    for mat in (m1, m2):
+        vec = one
+        for _ in range(gb.staircase.cardinality):
+            vec = _apply(mat, vec)
+        if vec[0]:
+            return False
+    return True
 
 
 def torus_limit(ideal: Ideal, v) -> Ideal:
@@ -472,6 +549,12 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
             weighted = _walk(_quotient(gb), key)
         limit_gb = _as_basis(_initial_form(dict(g.terms), (v1, v2)) for g in weighted)
     else:
+        # the grid of n(n+1)/2 vectors is built only after this check
+        if not supported_at_origin(gb):
+            raise LimitDoesNotExist(
+                "limit does not exist in the Hilbert scheme: "
+                "ideal is not supported at the origin"
+            )
         limit_gb = _punctual_limit(_quotient(gb), n, (v1, v2))
     if limit_gb.staircase is None or limit_gb.staircase.cardinality != n:
         raise LimitDoesNotExist("limit does not exist in the Hilbert scheme")
@@ -495,18 +578,21 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
         raise NotZeroDimensional("ideal is not zero-dimensional")
     quotient = list(_quotient(gb))
     other = quotient[2 - index]
-    coeffs = {e[2 - index]: c for e, c in p.terms}
+    cols, den = quotient[index - 1]
+    coeffs, coeff_den = _vector({e[2 - index]: c for e, c in p.terms})
     moved = []
-    for j, col in enumerate(quotient[index - 1]):
-        col, power = dict(col), {j: Fraction(1)}
+    for j, col in enumerate(cols):
+        terms, power = [(col, den)], ({j: 1}, 1)
         for b in range(max(coeffs) + 1):
             if b:
                 power = _apply(other, power)
             if b in coeffs:
-                for i, c in power.items():
-                    col[i] = col.get(i, 0) - coeffs[b] * c
-        moved.append({i: c for i, c in col.items() if c})
-    quotient[index - 1] = moved
+                entries, power_den = power
+                terms.append(
+                    ({i: -coeffs[b] * c for i, c in entries.items()}, coeff_den * power_den)
+                )
+        moved.append(_sum(terms))
+    quotient[index - 1] = _matrix(moved)
     return Ideal(_lex_basis(tuple(quotient)))
 
 

@@ -19,11 +19,14 @@ from grobasin.groebner import (
     point_ideal,
     reduced_groebner_basis,
     staircase_of,
+    substitute,
+    supported_at_origin,
     tall_point_ideal,
     torus_limit,
     torus_scale,
     vanishing_ideal,
 )
+from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.poly import Polynomial, X1, X2, parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
 
@@ -405,6 +408,51 @@ class TestIdealText:
             parse_ideal_text("\n\n")
 
 
+def _holds_degree_n_monomials(gb):
+    # the normal-form criterion: every monomial of degree n = colength
+    # reduces to zero, i.e. (x1, x2)^n lies in the ideal
+    n = gb.staircase.cardinality
+    return all(
+        normal_form(Polynomial.monomial((i, n - i)), gb).is_zero()
+        for i in range(n + 1)
+    )
+
+
+def _support_cases():
+    # sampled colength-n ideals, their translates off the origin, and
+    # unions with one more point
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for target in enumerate_staircases(n):
+            for constraint in ("origin", "x1_axis", "free"):
+                ideal = sample_basin_ideal(BasinSampleSpec(target, constraint, seed=n))
+                yield ideal
+                shift = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                yield substitute(ideal, 1, Polynomial.constant(shift))
+                yield substitute(ideal, 2, Polynomial.constant(-shift))
+                if constraint == "origin":
+                    yield intersect_comaximal([ideal, point_ideal((shift, 0))])
+
+
+class TestSupportedAtOrigin:
+    def test_agrees_with_the_normal_form_criterion(self):
+        seen = Counter()
+        for ideal in _support_cases():
+            gb = reduced_groebner_basis(ideal)
+            expected = _holds_degree_n_monomials(gb)
+            assert supported_at_origin(gb) == expected, ideal.generators
+            seen[expected] += 1
+        assert min(seen[True], seen[False]) >= 25, seen
+
+    def test_parsed_ideals(self):
+        assert supported_at_origin(reduced_groebner_basis(Ideal((P("x1 + x2"), P("x2^2")))))
+        assert not supported_at_origin(
+            reduced_groebner_basis(Ideal((P("x1^2 - x1"), P("x2"))))
+        )
+        with pytest.raises(NotZeroDimensional):
+            supported_at_origin(reduced_groebner_basis(Ideal((P("x1"),))))
+
+
 class TestScalingBudgets:
     # the weight walk costs grow with the colength; these inputs have a
     # small generating set but a large or dense quotient
@@ -446,3 +494,20 @@ class TestScalingBudgets:
         rows = reduced_groebner_basis(ideal).staircase.rows()
         assert list(rows) == sorted(counts.values(), reverse=True)
         assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"
+
+    def test_vanishing_ideal_of_64_wide_points_within_budget(self):
+        # numerators up to 10^4 over denominators up to 10^3 on 16 lines:
+        # the walk's vectors carry denominators of hundreds of bits
+        rng = random.Random(64)
+        levels = [Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)) for _ in range(16)]
+        points = set()
+        while len(points) < 64:
+            x = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+            points.add((x, rng.choice(levels)))
+        start = time.perf_counter()
+        ideal = vanishing_ideal(sorted(points))
+        elapsed = time.perf_counter() - start
+        counts = Counter(p[1] for p in points)
+        rows = reduced_groebner_basis(ideal).staircase.rows()
+        assert list(rows) == sorted(counts.values(), reverse=True)
+        assert elapsed < 2, f"took {elapsed:.1f}s, budget 2s"

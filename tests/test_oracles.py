@@ -11,6 +11,7 @@ Polynomial.compose plus Buchberger, and for commuting.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -384,7 +385,13 @@ def test_sampled_quotients_commute_and_annihilate_the_basis(cols, constraint):
         seed=sum(cols),
     )
     gb = reduced_groebner_basis(sample_basin_ideal(spec))
-    m1, m2, one = _quotient(gb)
+    # the carried quotient keeps integer entries over one denominator
+    (cols1, den1), (cols2, den2), (one_entries, one_den) = _quotient(gb)
+    assert min(den1, den2, one_den) > 0
+    assert gcd(one_den, *one_entries.values()) == 1
+    m1 = [{i: Fraction(c, den1) for i, c in col.items()} for col in cols1]
+    m2 = [{i: Fraction(c, den2) for i, c in col.items()} for col in cols2]
+    one = {i: Fraction(c, one_den) for i, c in one_entries.items()}
     assert len(m1) == len(m2) == target.cardinality
     for j in range(len(m1)):
         unit = {j: Fraction(1)}
