@@ -26,7 +26,15 @@ from .groebner import (
     torus_limit,
     vanishing_ideal,
 )
-from .orders import et_row_partition, leq_et, leq_punc, build_poset
+from .orders import (
+    SplitQuadruple,
+    build_poset,
+    dominance,
+    et_row_partition,
+    figure_alg,
+    leq_et,
+    leq_punc,
+)
 from .poly import Polynomial, X2
 from .staircase import StandardSet, enumerate_staircases, sum1, sum2
 
@@ -118,12 +126,13 @@ def _origin_sample(target, rng, max_rejections):
 
 def _spread(index, sampler, targets, rng, max_rejections):
     # one sample per target, each translated along x_index to its own
-    # distinct place, intersected
+    # distinct place, intersected once every sample has been drawn
     places = _distinct_fractions(rng, len(targets))
-    return intersect_comaximal(
+    samples = [
         substitute(sampler(t, rng, max_rejections), index, Polynomial.constant(-z))
         for t, z in zip(targets, places)
-    )
+    ]
+    return intersect_comaximal(samples)
 
 
 def _axis_sample(target, rng, max_rejections):
@@ -295,75 +304,78 @@ def _split_total(rng, n, max_parts):
 # experiment suites
 
 
+def _trial_loop(experiment, stream, trials, seed, trial):
+    """The seeded loop of every sampler suite.
+
+    trial(index, rng) draws the trial's parameters from its own rng, seeded
+    from the stream name, and returns (case, attempt); attempt() samples
+    with the same rng and returns (ok, expected, observed).  A sampler that
+    runs out of budget is recorded as a failed case."""
+    rec = _Recorder(experiment, seed)
+    for index in range(trials):
+        case, attempt = trial(index, _trial_rng(stream, seed, index))
+        try:
+            outcome = attempt()
+        except SamplingError as exc:
+            rec.sampling_failure(case, exc)
+            continue
+        rec.record(case, *outcome)
+    return rec.report()
+
+
+def _merge_suite(experiment, index, sampler, max_parts, merge, trials, n_max, seed):
+    # factors sampled by `sampler`, spread to distinct places along x_index
+    # and intersected, must have the merged staircase
+    def trial(i, rng):
+        n = rng.randint(2, n_max)
+        targets = [_random_staircase(rng, p) for p in _split_total(rng, n, max_parts)]
+        expected = merge(targets)
+
+        def attempt():
+            observed = staircase_of(_spread(index, sampler, targets, rng, 50))
+            return observed == expected, _label(expected), _label(observed)
+
+        return f"trial={i} factors=" + "+".join(_label(t) for t in targets), attempt
+
+    return _trial_loop(experiment, experiment, trials, seed, trial)
+
+
 def run_prop1(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentReport:
     """Intersections across distinct points of the x1-axis merge columns.
 
     Each trial intersects independently sampled one-point ideals sitting
     at distinct abscissas and compares the staircase of the intersection
     with the direction-1 sum of the factor staircases."""
-    rec = _Recorder("prop1", seed)
-    for trial in range(trials):
-        rng = _trial_rng("prop1", seed, trial)
-        n = rng.randint(2, n_max)
-        parts = _split_total(rng, n, 4)
-        targets = [_random_staircase(rng, p) for p in parts]
-        case = f"trial={trial} factors=" + "+".join(_label(t) for t in targets)
-        expected = sum1(targets)
-        try:
-            observed = staircase_of(_spread(1, _origin_sample, targets, rng, 50))
-        except SamplingError as exc:
-            rec.sampling_failure(case, exc)
-            continue
-        rec.record(case, observed == expected, _label(expected), _label(observed))
-    return rec.report()
+    return _merge_suite("prop1", 1, _origin_sample, 4, sum1, trials, n_max, seed)
 
 
 def run_prop2(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentReport:
     """Intersections across distinct horizontal lines merge rows."""
-    rec = _Recorder("prop2", seed)
-    for trial in range(trials):
-        rng = _trial_rng("prop2", seed, trial)
-        n = rng.randint(2, n_max)
-        parts = _split_total(rng, n, 3)
-        targets = [_random_staircase(rng, p) for p in parts]
-        case = f"trial={trial} factors=" + "+".join(_label(t) for t in targets)
-        expected = sum2(targets)
-        try:
-            observed = staircase_of(_spread(2, _axis_sample, targets, rng, 50))
-        except SamplingError as exc:
-            rec.sampling_failure(case, exc)
-            continue
-        rec.record(case, observed == expected, _label(expected), _label(observed))
-    return rec.report()
+    return _merge_suite("prop2", 2, _axis_sample, 3, sum2, trials, n_max, seed)
 
 
 def run_divisibility(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentReport:
     """Basis elements of axis-supported ideals are divisible by the x2
     power of their own leading term."""
-    rec = _Recorder("divisibility", seed)
-    for trial in range(trials):
-        rng = _trial_rng("divisibility", seed, trial)
-        n = rng.randint(2, n_max)
-        target = _random_staircase(rng, n)
-        case = f"trial={trial} basin={_label(target)}"
-        try:
-            ideal = _axis_sample(target, rng, 50)
-        except SamplingError as exc:
-            rec.sampling_failure(case, exc)
-            continue
-        bad = None
-        for g in reduced_groebner_basis(ideal).elements:
-            a2 = g.leading_exponent()[1]
-            if any(e[1] < a2 for e, _ in g.terms):
-                bad = g
-                break
-        rec.record(
-            case,
-            bad is None,
-            "every term divisible by the leading x2 power",
-            "ok" if bad is None else f"violated by a basis element",
-        )
-    return rec.report()
+
+    def trial(i, rng):
+        target = _random_staircase(rng, rng.randint(2, n_max))
+
+        def attempt():
+            basis = reduced_groebner_basis(_axis_sample(target, rng, 50)).elements
+            ok = all(
+                min(e[1] for e, _ in g.terms) >= g.leading_exponent()[1]
+                for g in basis
+            )
+            return (
+                ok,
+                "every term divisible by the leading x2 power",
+                "ok" if ok else "violated by a basis element",
+            )
+
+        return f"trial={i} basin={_label(target)}", attempt
+
+    return _trial_loop("divisibility", "divisibility", trials, seed, trial)
 
 
 def run_et_closure(a: StandardSet, b: StandardSet, seed: int = 0) -> ExperimentReport:
@@ -420,63 +432,57 @@ def run_punc_consistency(trials: int, n_max: int = 6, seed: int = 0) -> Experime
     """Torus limits of origin-supported basin ideals under weights with
     0 < n*v1 <= v2 land in basins above the source in the column
     breaking order."""
-    rec = _Recorder("punc_consistency", seed)
-    for trial in range(trials):
-        rng = _trial_rng("punc", seed, trial)
+
+    def trial(i, rng):
         n = rng.randint(2, n_max)
         target = _random_staircase(rng, n)
         v1 = rng.randint(1, 3)
         v2 = n * v1 + rng.randint(0, 4)
-        case = f"trial={trial} basin={_label(target)} v=({v1},{v2})"
-        try:
-            ideal = _origin_sample(target, rng, 50)
-        except SamplingError as exc:
-            rec.sampling_failure(case, exc)
-            continue
-        limit = torus_limit(ideal, (v1, v2))
-        monomial = all(len(g.terms) == 1 for g in limit.generators)
-        observed = staircase_of(limit)
-        ok = monomial and leq_punc(target, observed)
-        rec.record(
-            case,
-            ok,
-            f"a monomial ideal above {_label(target)}",
-            _label(observed) + ("" if monomial else ", not monomial"),
-        )
-    return rec.report()
+
+        def attempt():
+            limit = torus_limit(_origin_sample(target, rng, 50), (v1, v2))
+            monomial = all(len(g.terms) == 1 for g in limit.generators)
+            observed = staircase_of(limit)
+            return (
+                monomial and leq_punc(target, observed),
+                f"a monomial ideal above {_label(target)}",
+                _label(observed) + ("" if monomial else ", not monomial"),
+            )
+
+        return f"trial={i} basin={_label(target)} v=({v1},{v2})", attempt
+
+    return _trial_loop("punc_consistency", "punc", trials, seed, trial)
 
 
 def run_torus_calibration(trials: int, n_max: int = 6, seed: int = 0) -> ExperimentReport:
     """Weights (-(n+1), -1) must send every sampled ideal back to the
     monomial ideal of its own staircase."""
-    rec = _Recorder("torus_calibration", seed)
-    for trial in range(trials):
-        rng = _trial_rng("calibration", seed, trial)
+
+    def trial(i, rng):
         n = rng.randint(2, n_max)
         target = _random_staircase(rng, n)
         mode = rng.choice(["origin", "x1_axis", "free"])
-        case = f"trial={trial} basin={_label(target)} mode={mode}"
-        try:
+
+        def attempt():
             if mode == "origin":
                 ideal = _origin_sample(target, rng, 50)
             elif mode == "x1_axis":
                 ideal = _axis_sample(target, rng, 50)
             else:
                 ideal = _free_sample(target, rng)
-        except SamplingError as exc:
-            rec.sampling_failure(case, exc)
-            continue
-        limit = torus_limit(ideal, (-(n + 1), -1))
-        expected = reduced_groebner_basis(monomial_ideal(target)).elements
-        observed = reduced_groebner_basis(limit).elements
-        rec.record(
-            case,
-            observed == expected,
-            f"the monomial ideal of {_label(target)}",
-            _label(staircase_of(limit))
-            + ("" if all(len(g.terms) == 1 for g in limit.generators) else ", not monomial"),
-        )
-    return rec.report()
+            limit = torus_limit(ideal, (-(n + 1), -1))
+            expected = reduced_groebner_basis(monomial_ideal(target)).elements
+            observed = reduced_groebner_basis(limit).elements
+            monomial = all(len(g.terms) == 1 for g in limit.generators)
+            return (
+                observed == expected,
+                f"the monomial ideal of {_label(target)}",
+                _label(staircase_of(limit)) + ("" if monomial else ", not monomial"),
+            )
+
+        return f"trial={i} basin={_label(target)} mode={mode}", attempt
+
+    return _trial_loop("torus_calibration", "calibration", trials, seed, trial)
 
 
 def run_single_column_density(n: int, trials: int, seed: int = 0) -> ExperimentReport:
@@ -484,21 +490,75 @@ def run_single_column_density(n: int, trials: int, seed: int = 0) -> ExperimentR
     x2^n all sit in the single-column basin at the origin."""
     if n < 1:
         raise ValueError("n must be positive")
-    rec = _Recorder("single_column_density", seed)
     column = StandardSet([n])
-    for trial in range(trials):
-        rng = _trial_rng("single_column", seed, trial)
-        coeffs = [Fraction(0)] + [
-            _rand_fraction(rng) for _ in range(n - 1)
-        ]
-        ideal = tall_point_ideal(n, coeffs)
-        gb = reduced_groebner_basis(ideal)
-        case = f"trial={trial}"
-        ok = gb.staircase == column and supported_at_origin(gb)
-        rec.record(
-            case,
-            ok,
-            f"{_label(column)} at the origin",
-            _label(gb.staircase) if gb.staircase else "infinite",
-        )
+
+    def trial(i, rng):
+        def attempt():
+            coeffs = [Fraction(0)] + [_rand_fraction(rng) for _ in range(n - 1)]
+            gb = reduced_groebner_basis(tall_point_ideal(n, coeffs))
+            return (
+                gb.staircase == column and supported_at_origin(gb),
+                f"{_label(column)} at the origin",
+                _label(gb.staircase) if gb.staircase else "infinite",
+            )
+
+        return f"trial={i}", attempt
+
+    return _trial_loop("single_column_density", "single_column", trials, seed, trial)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive suites: every same-size ordered pair of staircases
+
+
+def _all_pairs(experiment, n_max, probe):
+    # probe(a, b) -> (ok, expected, observed); these reports ignore the seed
+    rec = _Recorder(experiment, 0)
+    for n in range(1, n_max + 1):
+        staircases = enumerate_staircases(n)
+        for a in staircases:
+            for b in staircases:
+                rec.record(f"a=cols{a.cols()} b=cols{b.cols()}", *probe(a, b))
     return rec.report()
+
+
+def _duality_probe(a, b):
+    direct = leq_punc(a, b)
+    mirrored = leq_et(b.transpose(), a.transpose())
+    return direct == mirrored, str(direct), str(mirrored)
+
+
+def _refinement_probe(a, b):
+    if (leq_et(a, b) or leq_punc(a, b)) and not dominance(a, b):
+        return False, "dominance to follow", "dominance fails"
+    return True, "", ""
+
+
+def _splitting_game_probe(a, b):
+    # one exploration of the game serves both the order and the terminals
+    quads = figure_alg(a, b)
+    via_alg = SplitQuadruple(a.cols(), (), b.cols(), ()) in quads
+    direct = leq_punc(a, b)
+    if via_alg != direct:
+        return False, str(direct), str(via_alg)
+    n = a.cardinality
+    for quad in quads:
+        if sum(quad.c1) + sum(quad.c2) != n or sum(quad.c1p) + sum(quad.c2p) != n:
+            return False, "terminals conserving total size", str(quad)
+    return True, "", ""
+
+
+# name -> (runner(trials, seed, n_max), default n_max, smallest n_max).  The
+# lambdas look the runners up when called, so a rebound runner is seen.
+SUITES = {
+    "prop1": (lambda t, s, n: run_prop1(t, n_max=n, seed=s), 8, 2),
+    "prop2": (lambda t, s, n: run_prop2(t, n_max=n, seed=s), 8, 2),
+    "divisibility": (lambda t, s, n: run_divisibility(t, n_max=n, seed=s), 8, 2),
+    "calibration": (lambda t, s, n: run_torus_calibration(t, n_max=n, seed=s), 6, 2),
+    "punc": (lambda t, s, n: run_punc_consistency(t, n_max=n, seed=s), 6, 2),
+    "et-closure": (lambda t, s, n: run_et_closure_covers(n_max=n, seed=s), 6, 2),
+    "single-column": (lambda t, s, n: run_single_column_density(n, t, seed=s), 6, 1),
+    "duality": (lambda t, s, n: _all_pairs("duality", n, _duality_probe), 6, 1),
+    "refinement": (lambda t, s, n: _all_pairs("refinement", n, _refinement_probe), 6, 1),
+    "alg": (lambda t, s, n: _all_pairs("splitting_game", n, _splitting_game_probe), 6, 1),
+}

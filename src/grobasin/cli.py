@@ -20,28 +20,8 @@ from .groebner import (
     reduced_groebner_basis,
     torus_limit,
 )
-from .orders import (
-    build_poset,
-    figure_alg,
-    incidence_filter,
-    leq_et,
-    leq_punc,
-    leq_punc_via_alg,
-    dominance,
-    order_function,
-    to_dot,
-    _node_label,
-)
-from .basinlab import (
-    ExperimentReport,
-    run_divisibility,
-    run_et_closure_covers,
-    run_prop1,
-    run_prop2,
-    run_punc_consistency,
-    run_single_column_density,
-    run_torus_calibration,
-)
+from .orders import build_poset, incidence_filter, order_function, to_dot, _node_label
+from .basinlab import SUITES
 from .staircase import StandardSet, c4_sum, enumerate_staircases
 
 
@@ -68,36 +48,31 @@ def _cmd_poset(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
+def _read_pair(args):
+    # the two JSON staircase arguments, or None once the error is printed;
+    # malformed JSON is a ValueError too
     try:
-        if args.order == "filter":
-            leq = incidence_filter
-        else:
-            leq = order_function(args.order)
-        a = StandardSet.from_json(args.a)
-        b = StandardSet.from_json(args.b)
+        return StandardSet.from_json(args.a), StandardSet.from_json(args.b)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_check(args) -> int:
+    leq = incidence_filter if args.order == "filter" else order_function(args.order)
+    pair = _read_pair(args)
+    if pair is None:
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    held = leq(a, b)
+    held = leq(*pair)
     print("true" if held else "false")
     return 0 if held else 1
 
 
 def _cmd_sum(args) -> int:
-    try:
-        a = StandardSet.from_json(args.a)
-        b = StandardSet.from_json(args.b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    pair = _read_pair(args)
+    if pair is None:
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    print(c4_sum(a, b, args.direction).to_json())
+    print(c4_sum(*pair, args.direction).to_json())
     return 0
 
 
@@ -139,84 +114,16 @@ def _cmd_groebner(args) -> int:
     return 0
 
 
-def _exhaustive_report(name, n_max, predicate) -> ExperimentReport:
-    # predicate(a, b) -> (ok, expected, observed); runs over all same-size
-    # ordered pairs up to n_max
-    run = passed = 0
-    failures = []
-    for n in range(1, n_max + 1):
-        staircases = enumerate_staircases(n)
-        for a in staircases:
-            for b in staircases:
-                ok, expected, observed = predicate(a, b)
-                run += 1
-                if ok:
-                    passed += 1
-                else:
-                    failures.append(
-                        (f"a=cols{a.cols()} b=cols{b.cols()}", expected, observed)
-                    )
-    return ExperimentReport(name, 0, run, passed, tuple(failures))
-
-
-def _duality_report(n_max) -> ExperimentReport:
-    def probe(a, b):
-        direct = leq_punc(a, b)
-        mirrored = leq_et(b.transpose(), a.transpose())
-        return direct == mirrored, str(direct), str(mirrored)
-
-    return _exhaustive_report("duality", n_max, probe)
-
-
-def _refinement_report(n_max) -> ExperimentReport:
-    def probe(a, b):
-        if (leq_et(a, b) or leq_punc(a, b)) and not dominance(a, b):
-            return False, "dominance to follow", "dominance fails"
-        return True, "", ""
-
-    return _exhaustive_report("refinement", n_max, probe)
-
-
-def _alg_report(n_max) -> ExperimentReport:
-    def probe(a, b):
-        via_alg = leq_punc_via_alg(a, b)
-        direct = leq_punc(a, b)
-        if via_alg != direct:
-            return False, str(direct), str(via_alg)
-        n = a.cardinality
-        for quad in figure_alg(a, b):
-            if sum(quad.c1) + sum(quad.c2) != n or sum(quad.c1p) + sum(quad.c2p) != n:
-                return False, "terminals conserving total size", str(quad)
-        return True, "", ""
-
-    return _exhaustive_report("splitting_game", n_max, probe)
-
-
-# name -> (runner(trials, seed, n_max), default n_max, smallest n_max)
-_SUITES = {
-    "prop1": (lambda t, s, n: run_prop1(t, n_max=n, seed=s), 8, 2),
-    "prop2": (lambda t, s, n: run_prop2(t, n_max=n, seed=s), 8, 2),
-    "divisibility": (lambda t, s, n: run_divisibility(t, n_max=n, seed=s), 8, 2),
-    "calibration": (lambda t, s, n: run_torus_calibration(t, n_max=n, seed=s), 6, 2),
-    "punc": (lambda t, s, n: run_punc_consistency(t, n_max=n, seed=s), 6, 2),
-    "et-closure": (lambda t, s, n: run_et_closure_covers(n_max=n, seed=s), 6, 2),
-    "single-column": (lambda t, s, n: run_single_column_density(n, t, seed=s), 6, 1),
-    "duality": (lambda t, s, n: _duality_report(n), 6, 1),
-    "refinement": (lambda t, s, n: _refinement_report(n), 6, 1),
-    "alg": (lambda t, s, n: _alg_report(n), 6, 1),
-}
-
-
 def _cmd_verify(args, parser) -> int:
     if args.trials < 1:
         parser.error("--trials must be at least 1")
-    names = args.suites or list(_SUITES)
+    names = args.suites or list(SUITES)
     for name in names:
-        if name not in _SUITES:
+        if name not in SUITES:
             parser.error(
-                f"unknown suite {name!r} (choose from {', '.join(_SUITES)})"
+                f"unknown suite {name!r} (choose from {', '.join(SUITES)})"
             )
-        smallest = _SUITES[name][2]
+        smallest = SUITES[name][2]
         if args.nmax is not None and args.nmax < smallest:
             parser.error(f"--nmax must be at least {smallest} for {name}")
     if args.seed is not None:
@@ -229,7 +136,7 @@ def _cmd_verify(args, parser) -> int:
             parser.error(f"GROBASIN_SEED must be an integer, got {raw!r}")
     all_passed = True
     for name in names:
-        runner, default, _ = _SUITES[name]
+        runner, default, _ = SUITES[name]
         nmax = default if args.nmax is None else args.nmax
         report = runner(args.trials, seed, nmax)
         if args.json:

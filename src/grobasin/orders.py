@@ -118,10 +118,11 @@ def leq_punc(a: StandardSet, b: StandardSet) -> bool:
     multiset of all pieces equals the columns of b."""
     if a.cardinality != b.cardinality:
         return False
-    counts = []
-    for h in sorted(set(b.cols()), reverse=True):
-        counts.append((h, b.cols().count(h)))
-    return _break_columns(a.cols(), tuple(counts))
+    # columns are weakly decreasing, so equal heights are adjacent
+    counts = tuple(
+        (h, sum(1 for _ in run)) for h, run in itertools.groupby(b.cols())
+    )
+    return _break_columns(a.cols(), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+from grobasin import basinlab
 from grobasin.basinlab import (
+    SUITES,
     run_divisibility,
     run_et_closure_covers,
     run_prop1,
@@ -247,6 +249,10 @@ def test_criterion_15_certificates():
         assert found >= 116
 
 
+def _golden(name):
+    return (pathlib.Path(__file__).parent / "data" / name).read_text()
+
+
 @pytest.mark.parametrize(
     "num,suite,runner",
     [
@@ -258,8 +264,28 @@ def test_criterion_15_certificates():
     ],
     ids=lambda p: p if isinstance(p, str) else None,
 )
-def test_criteria_16_to_20_sampler_suites_at_nmax_16(num, suite, runner):
-    golden = pathlib.Path(__file__).parent / "data" / f"verify_nmax16_{suite}.json"
+def test_criteria_16_to_20_sampler_suites_at_nmax_16(num, suite, runner, monkeypatch):
+    # run through the registry, which must dispatch to the suite's runner
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return runner(*args, **kwargs)
+
+    monkeypatch.setattr(basinlab, runner.__name__, counted)
     with _within(10, num, f"{suite} at n_max 16 reproduces its golden report"):
-        report = runner(100, n_max=16, seed=0)
-        assert report.to_json() + "\n" == golden.read_text()
+        report = SUITES[suite][0](100, 0, 16)
+        assert report.to_json() + "\n" == _golden(f"verify_nmax16_{suite}.json")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "num,suite,n_max",
+    [(21, "duality", 12), (22, "refinement", 12), (23, "et-closure", 12), (24, "alg", 10)],
+    ids=lambda p: p if isinstance(p, str) else None,
+)
+def test_criteria_21_to_24_exhaustive_suites(num, suite, n_max):
+    runner = SUITES[suite][0]
+    with _within(10, num, f"{suite} at n = {n_max} reproduces its golden report"):
+        report = runner(100, 0, n_max)
+        assert report.to_json() + "\n" == _golden(f"verify_n{n_max}_{suite}.json")

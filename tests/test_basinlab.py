@@ -1,10 +1,13 @@
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from grobasin import basinlab
 from grobasin.basinlab import (
+    SUITES,
     BasinSampleSpec,
     ExperimentReport,
     SamplingError,
@@ -219,3 +222,83 @@ class TestRegressions:
         elapsed = time.perf_counter() - start
         assert report.cases_passed == report.cases_run == 100
         assert elapsed < 20, f"took {elapsed:.1f}s, budget 20s"
+
+    def test_spread_draws_every_sample_before_intersecting(self, monkeypatch):
+        # the samplers' substitutions must not run inside the intersection,
+        # where a tracer would charge them to intersect_comaximal
+        inside = []
+        during = []
+        intersect, substitute = basinlab.intersect_comaximal, basinlab.substitute
+
+        def traced_intersect(ideals):
+            inside.append(True)
+            try:
+                return intersect(ideals)
+            finally:
+                inside.pop()
+
+        def traced_substitute(*args):
+            during.append(bool(inside))
+            return substitute(*args)
+
+        monkeypatch.setattr(basinlab, "intersect_comaximal", traced_intersect)
+        monkeypatch.setattr(basinlab, "substitute", traced_substitute)
+        targets = [StandardSet([2, 1]), StandardSet([1]), StandardSet([3])]
+        ideal = basinlab._spread(
+            1, basinlab._origin_sample, targets, random.Random("spread"), 50
+        )
+        assert reduced_groebner_basis(ideal).staircase == StandardSet([3, 2, 1, 1])
+        assert len(during) >= len(targets)
+        assert not any(during)
+
+
+class TestSuiteRegistry:
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_every_suite_runs_at_its_smallest_nmax(self, name):
+        runner, _, smallest = SUITES[name]
+        report = runner(2, 3, smallest)
+        assert report.passed and report.cases_run >= 1
+
+    @pytest.mark.parametrize(
+        "name,experiment",
+        [
+            ("duality", "duality"),
+            ("refinement", "refinement"),
+            ("alg", "splitting_game"),
+        ],
+    )
+    def test_exhaustive_reports_keep_seed_zero(self, name, experiment):
+        report = SUITES[name][0](100, 5, 4)
+        assert report.experiment_name == experiment
+        assert report.seed == 0
+        # all ordered pairs of same-size staircases, n = 1..4
+        assert report.cases_run == 1 + 4 + 9 + 25
+        assert report.passed
+
+    @pytest.mark.parametrize(
+        "runner,sampler",
+        [
+            (run_prop1, "_origin_sample"),
+            (run_prop2, "_axis_sample"),
+            (run_divisibility, "_axis_sample"),
+            (run_punc_consistency, "_origin_sample"),
+        ],
+    )
+    def test_sampling_errors_are_recorded_as_failed_cases(
+        self, monkeypatch, runner, sampler
+    ):
+        def exhausted(*args):
+            raise SamplingError("out of budget")
+
+        monkeypatch.setattr(basinlab, sampler, exhausted)
+        report = runner(3, n_max=4, seed=0)
+        assert (report.cases_run, report.cases_passed) == (3, 0)
+        assert [f[0].split()[0] for f in report.failures] == [
+            "trial=0",
+            "trial=1",
+            "trial=2",
+        ]
+        assert all(
+            f[1:] == ("a sample", "SamplingError: out of budget")
+            for f in report.failures
+        )

@@ -120,6 +120,13 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_truncated_json(self, capsys):
+        # the decoder's own message, from the one ValueError branch
+        code, _, err = run(capsys, ["check", "et", '{"columns": [1', '{"columns": [1]}'])
+        assert code == 2
+        assert err.startswith("error: Expecting ',' delimiter")
+        assert "Traceback" not in err
+
     def test_filter_true(self, capsys):
         code, out, _ = run(
             capsys,
@@ -173,6 +180,12 @@ class TestSum:
         )
         assert code == 2
         assert "error" in err
+
+    def test_invalid_json(self, capsys):
+        code, _, err = run(capsys, ["sum", "1", "not json", '{"columns": [1]}'])
+        assert code == 2
+        assert "error" in err
+        assert "Traceback" not in err
 
 
 class TestGroebner:
