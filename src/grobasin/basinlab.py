@@ -17,11 +17,11 @@ from .groebner import (
     Ideal,
     intersect_comaximal,
     monomial_ideal,
-    normal_form,
     reduced_groebner_basis,
     staircase_of,
     substitute,
     supported_at_origin,
+    supported_on_line,
     tall_point_ideal,
     torus_limit,
     vanishing_ideal,
@@ -35,7 +35,7 @@ from .orders import (
     leq_et,
     leq_punc,
 )
-from .poly import Polynomial, X2
+from .poly import Polynomial
 from .staircase import StandardSet, enumerate_staircases, sum1, sum2
 
 
@@ -67,18 +67,18 @@ class BasinSampleSpec:
             raise ValueError("target must be nonempty")
 
 
-def _rand_fraction(rng, num_bound=20, den_bound=10, nonzero=False):
+def _rand_fraction(rng, nonzero=False):
     while True:
-        f = Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+        f = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
         if f or not nonzero:
             return f
 
 
-def _distinct_fractions(rng, count, num_bound=20, den_bound=10):
+def _distinct_fractions(rng, count):
     out = []
     guard = 0
     while len(out) < count:
-        f = _rand_fraction(rng, num_bound, den_bound)
+        f = _rand_fraction(rng)
         if f not in out:
             out.append(f)
         guard += 1
@@ -171,10 +171,6 @@ def _free_sample(target, rng):
     return vanishing_ideal(points)
 
 
-def _supports_line(gb, n, level):
-    return normal_form((X2 - Polynomial.constant(level)) ** n, gb).is_zero()
-
-
 def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
     """Draw an exact ideal whose staircase is spec.target and whose support
     satisfies the constraint.  Raises SamplingError when the rejection
@@ -190,14 +186,13 @@ def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
     else:
         ideal = _free_sample(target, rng)
     gb = reduced_groebner_basis(ideal)
-    n = target.cardinality
     if gb.staircase != target:
         raise SamplingError("sampler output fails its own staircase recheck")
     if spec.support_constraint == "origin" and not supported_at_origin(gb):
         raise SamplingError("sampler output fails the origin support recheck")
-    if spec.support_constraint == "x1_axis" and not _supports_line(gb, n, 0):
+    if spec.support_constraint == "x1_axis" and not supported_on_line(gb, 0):
         raise SamplingError("sampler output fails the axis support recheck")
-    if spec.line is not None and not _supports_line(gb, n, Fraction(spec.line)):
+    if spec.line is not None and not supported_on_line(gb, Fraction(spec.line)):
         raise SamplingError("sampler output fails the line support recheck")
     return ideal
 

@@ -377,10 +377,10 @@ def staircase_of(ideal: Ideal) -> StandardSet:
 
 
 def monomial_ideal(s: StandardSet) -> Ideal:
-    """The monomial ideal whose staircase is s."""
-    return Ideal(
-        tuple(Polynomial.monomial(e) for e in sorted(s.outer_corners()))
-    )
+    """The monomial ideal whose staircase is s, carrying its basis (the
+    corners) and its quotient: x1 and x2 shift the boxes, off s to 0."""
+    corners = [Polynomial.monomial(e) for e in sorted(s.outer_corners())]
+    return Ideal(_as_basis(corners, _on_monomials(sorted(s.points()), lambda e: ({}, 1))))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -439,18 +439,16 @@ def vanishing_ideal(points) -> Ideal:
 def tall_point_ideal(height: int, coefficients) -> Ideal:
     """A point of multiplicity `height` squeezed onto the x1-axis.
 
-    Generated by x1 + sum of c_b x2^b for b below height, and x2^height.
-    The support is the single point (-c_0, 0)."""
+    Generated by x1 + sum of c_b x2^b for b below height, and x2^height,
+    the image of (x1, x2^height) under x1 -> x1 + sum of c_b x2^b, which
+    are its reduced basis (x2^height first).  The support is (-c_0, 0)."""
     coeffs = [Fraction(c) for c in coefficients]
     if height < 1:
         raise ValueError("height must be positive")
     if len(coeffs) != height:
         raise ValueError("need exactly `height` coefficients")
-    first = {(1, 0): Fraction(1)}
-    for b, c in enumerate(coeffs):
-        if c:
-            first[(0, b)] = c
-    return Ideal((Polynomial(first), Polynomial.monomial((0, height))))
+    shift = Polynomial({(0, b): c for b, c in enumerate(coeffs)})
+    return substitute(monomial_ideal(StandardSet([height])), 1, shift)
 
 
 def torus_scale(f: Polynomial, t, v) -> Polynomial:
@@ -509,6 +507,14 @@ def _punctual_limit(quotient, n, v):
     return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, ({}, 1))))
 
 
+def _nilpotent(quotient, index, n):
+    # whether M_index^n one = 0
+    vec = quotient[2]
+    for _ in range(n):
+        vec = _apply(quotient[index - 1], vec)
+    return not vec[0]
+
+
 def supported_at_origin(gb: ReducedGroebnerBasis) -> bool:
     """Whether a zero-dimensional ideal is supported at the origin alone.
 
@@ -517,14 +523,19 @@ def supported_at_origin(gb: ReducedGroebnerBasis) -> bool:
     it): 2n sparse mat-vecs on the quotient."""
     if gb.staircase is None:
         raise NotZeroDimensional("ideal is not zero-dimensional")
-    m1, m2, one = _quotient(gb)
-    for mat in (m1, m2):
-        vec = one
-        for _ in range(gb.staircase.cardinality):
-            vec = _apply(mat, vec)
-        if vec[0]:
-            return False
-    return True
+    quotient, n = _quotient(gb), gb.staircase.cardinality
+    return _nilpotent(quotient, 1, n) and _nilpotent(quotient, 2, n)
+
+
+def supported_on_line(gb: ReducedGroebnerBasis, level) -> bool:
+    """Whether a zero-dimensional ideal of colength n is supported on the
+    line x2 = level: whether (x2 - level)^n is in it, M2 - level nilpotent."""
+    if gb.staircase is None:
+        raise NotZeroDimensional("ideal is not zero-dimensional")
+    quotient = _quotient(gb)
+    if level:
+        quotient = _substituted(quotient, 2, Polynomial.constant(level))
+    return _nilpotent(quotient, 2, gb.staircase.cardinality)
 
 
 def torus_limit(ideal: Ideal, v) -> Ideal:
@@ -576,7 +587,12 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
     gb = reduced_groebner_basis(ideal)
     if gb.staircase is None:
         raise NotZeroDimensional("ideal is not zero-dimensional")
-    quotient = list(_quotient(gb))
+    return Ideal(_lex_basis(_substituted(_quotient(gb), index, p)))
+
+
+def _substituted(quotient, index, p):
+    # the quotient with M_index replaced by M_index - p(M_other); p nonzero
+    quotient = list(quotient)
     other = quotient[2 - index]
     cols, den = quotient[index - 1]
     coeffs, coeff_den = _vector({e[2 - index]: c for e, c in p.terms})
@@ -593,7 +609,7 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
                 )
         moved.append(_sum(terms))
     quotient[index - 1] = _matrix(moved)
-    return Ideal(_lex_basis(tuple(quotient)))
+    return tuple(quotient)
 
 
 def parse_ideal_text(text: str) -> Ideal:

@@ -50,32 +50,20 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
 
 def et_row_partition(a: StandardSet, b: StandardSet):
     """A witness for leq_et: per row of b, the multiset of rows of a merged
-    into it.  Returns a tuple aligned with b.rows(), or None."""
-    if a.cardinality != b.cardinality:
+    into it.  Returns a tuple aligned with b.rows(), or None.  Each row of
+    a goes into the first row of b that _fill_blocks can still complete."""
+    if not leq_et(a, b):
         return None
-    pieces = sorted(a.rows(), reverse=True)
-    caps = list(b.rows())
+    pieces, caps = a.rows(), list(b.rows())
     blocks = [[] for _ in caps]
-
-    def place(i):
-        if i == len(pieces):
-            return all(c == 0 for c in caps)
-        tried = set()
-        for k in range(len(caps)):
-            if caps[k] < pieces[i] or caps[k] in tried:
-                continue
-            tried.add(caps[k])
-            caps[k] -= pieces[i]
-            blocks[k].append(pieces[i])
-            if place(i + 1):
-                return True
-            caps[k] += pieces[i]
-            blocks[k].pop()
-        return False
-
-    if not place(0):
-        return None
-    return tuple(tuple(sorted(blk, reverse=True)) for blk in blocks)
+    for i, p in enumerate(pieces):
+        for k, c in enumerate(caps):
+            rest = tuple(sorted(caps[:k] + [c - p] + caps[k + 1:], reverse=True))
+            if c >= p and _fill_blocks(pieces[i + 1:], rest):
+                break
+        caps[k] -= p
+        blocks[k].append(p)
+    return tuple(tuple(blk) for blk in blocks)
 
 
 # ---------------------------------------------------------------------------

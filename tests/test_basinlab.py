@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -21,9 +22,10 @@ from grobasin.basinlab import (
     run_torus_calibration,
     sample_basin_ideal,
 )
-from grobasin.groebner import normal_form, reduced_groebner_basis
+from grobasin import groebner
+from grobasin.groebner import normal_form, reduced_groebner_basis, supported_on_line
 from grobasin.poly import Polynomial, parse_polynomial
-from grobasin.staircase import StandardSet
+from grobasin.staircase import StandardSet, enumerate_staircases
 
 
 TARGET = StandardSet([3, 1])
@@ -125,6 +127,64 @@ class TestSamplerContracts:
             for seed in range(5)
         }
         assert len(seen) > 1
+
+
+class TestSupportOnLine:
+    def test_matches_normal_form_of_the_line_power(self):
+        # (x2 - level)^n reduced by the basis against the nilpotency of
+        # M2 - level, on ideals supported on one line and on free ones
+        specs = [
+            BasinSampleSpec(target=t, support_constraint=c, line=line, seed=seed)
+            for seed, t in enumerate(
+                [TARGET, StandardSet([2, 2]), StandardSet([1, 1, 1]), StandardSet([4])]
+            )
+            for c, line in [
+                ("x1_axis", None),
+                ("horizontal_line", Fraction(-3, 2)),
+                ("horizontal_line", Fraction(5, 3)),
+                ("free", None),
+            ]
+        ]
+        outcomes = set()
+        for spec in specs:
+            gb = reduced_groebner_basis(sample_basin_ideal(spec))
+            n = spec.target.cardinality
+            for level in (Fraction(0), Fraction(-3, 2), Fraction(5, 3), Fraction(-7)):
+                expected = radical_contains_level(gb.elements, n, level)
+                assert supported_on_line(gb, level) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+class TestBuchbergerFree:
+    """The samplers and suites build every ideal from carried bases and
+    quotients: neither Buchberger nor lex division runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_buchberger(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Buchberger or lex division ran")
+
+        monkeypatch.setattr(groebner, "_buchberger", refuse)
+        monkeypatch.setattr(groebner, "_nf_terms", refuse)
+
+    def test_every_suite_at_its_defaults(self):
+        golden = pathlib.Path(__file__).parent / "data" / "verify_defaults_seed0.jsonl"
+        reports = [runner(100, 0, n_max) for runner, n_max, _ in SUITES.values()]
+        assert "".join(r.to_json() + "\n" for r in reports) == golden.read_text()
+
+    @pytest.mark.parametrize("constraint", ["origin", "x1_axis", "horizontal_line", "free"])
+    def test_sample_basin_ideal_up_to_six_boxes(self, constraint):
+        for n in range(1, 7):
+            for target in enumerate_staircases(n):
+                spec = BasinSampleSpec(
+                    target,
+                    constraint,
+                    line=Fraction(2, 3) if constraint == "horizontal_line" else None,
+                    seed=n,
+                )
+                gb = reduced_groebner_basis(sample_basin_ideal(spec))
+                assert gb.staircase == target
 
 
 class TestReports:

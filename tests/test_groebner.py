@@ -26,6 +26,7 @@ from grobasin.groebner import (
     torus_scale,
     vanishing_ideal,
 )
+from grobasin.groebner import _quotient
 from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.poly import Polynomial, X1, X2, parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
@@ -214,6 +215,20 @@ class TestMonomialIdeals:
     def test_empty_staircase(self):
         gb = reduced_groebner_basis(monomial_ideal(EMPTY))
         assert gb.elements == (P("1"),)
+        assert gb.staircase == EMPTY
+        assert _quotient(gb) == (([], 1), ([], 1), ({}, 1))
+
+    def test_carried_basis_and_quotient_match_buchberger(self):
+        # the shift matrices on the staircase against Buchberger on the
+        # corners and the quotient built from that fresh basis
+        for n in range(9):
+            for s in enumerate_staircases(n):
+                ideal = monomial_ideal(s)
+                fresh = reduced_groebner_basis(Ideal(list(ideal.generators)))
+                assert fresh.quotient is None
+                assert ideal.basis == fresh
+                assert ideal.generators == fresh.elements
+                assert ideal.basis.quotient == _quotient(fresh)
 
 
 class TestPointsAndIntersections:
@@ -285,6 +300,18 @@ class TestTallPoints:
             assert staircase_of(ideal) == StandardSet([n])
             for g in ideal.generators:
                 assert g.evaluate((-coeffs[0], 0)) == 0
+
+    def test_matches_buchberger_on_the_textbook_generators(self):
+        rng = random.Random(41)
+        for n in range(1, 8):
+            for _ in range(3):
+                coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                first = X1 + Polynomial({(0, b): c for b, c in enumerate(coeffs)})
+                textbook = Ideal((first, Polynomial.monomial((0, n))))
+                ideal = tall_point_ideal(n, coeffs)
+                assert ideal.basis == reduced_groebner_basis(textbook)
+                # the reduced basis, in lead order: x2^n comes first
+                assert ideal.generators == (Polynomial.monomial((0, n)), first)
 
 
 class TestTorusScale:

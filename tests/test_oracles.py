@@ -299,9 +299,10 @@ def _small(rng):
 
 
 def _substitution_start(rng):
-    """A zero-dimensional ideal of one of three kinds: monomial, colength
-    <= 10 (no carried quotient); up to 6 integer points (a block-diagonal
-    quotient); or monomial bent by x1 -> x1 + c*x2 (a carried quotient)."""
+    """A zero-dimensional ideal of one of three kinds: the corners of a
+    monomial ideal, colength <= 10 (no carried quotient); up to 6 integer
+    points (a block-diagonal quotient); or monomial bent by x1 -> x1 + c*x2
+    (a carried quotient)."""
     kind = rng.randrange(3)
     if kind == 1:
         points = set()
@@ -311,8 +312,8 @@ def _substitution_start(rng):
         return vanishing_ideal(sorted(points))
     ideal = monomial_ideal(rng.choice(enumerate_staircases(rng.randint(1, 10))))
     if kind == 2:
-        ideal = substitute(ideal, 1, Polynomial.monomial((0, 1), _small(rng)))
-    return ideal
+        return substitute(ideal, 1, Polynomial.monomial((0, 1), _small(rng)))
+    return Ideal(list(ideal.generators))
 
 
 def _shift(rng, index, constant):
