@@ -186,6 +186,10 @@ def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
     else:
         ideal = _free_sample(target, rng)
     gb = reduced_groebner_basis(ideal)
+    # a substitution may hand over its input's staircase unwalked; reading
+    # the elements walks them and raises unless the walk finds it too, so
+    # the recheck below compares a walked staircase
+    gb.elements
     if gb.staircase != target:
         raise SamplingError("sampler output fails its own staircase recheck")
     if spec.support_constraint == "origin" and not supported_at_origin(gb):

@@ -9,7 +9,6 @@ which is how ideals meet the combinatorics in the rest of the package.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,43 +33,99 @@ def _weight_key(v):
     return key
 
 
-@dataclass(frozen=True)
 class Ideal:
     """A finite generating set; zero generators are dropped on entry.
 
-    Built from a ReducedGroebnerBasis, it carries that as `basis`, which
-    equality and hashing ignore."""
+    Built from a ReducedGroebnerBasis, it carries that as `basis`, and its
+    generators are that basis's elements, read (and so walked, when the
+    basis defers them) only when asked for.  Equality and hashing read the
+    generators and ignore the basis."""
 
-    generators: tuple
-    basis: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("_generators", "basis")
 
     def __init__(self, generators):
-        basis = None
         if isinstance(generators, ReducedGroebnerBasis):
-            basis, generators = generators, generators.elements
+            object.__setattr__(self, "_generators", None)
+            object.__setattr__(self, "basis", generators)
+            return
         gens = tuple(g for g in generators if not g.is_zero())
         if not gens:
             raise ValueError("ideal needs at least one nonzero generator")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_generators", gens)
+        object.__setattr__(self, "basis", None)
+
+    @property
+    def generators(self) -> tuple:
+        if self._generators is None:
+            return self.basis.elements
+        return self._generators
+
+    def __eq__(self, other):
+        return isinstance(other, Ideal) and self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.generators,))
+
+    def __repr__(self):
+        return f"Ideal(generators={self.generators!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ideal is immutable")
 
 
-@dataclass(frozen=True)
 class ReducedGroebnerBasis:
     """Monic, tail-reduced, lex-sorted basis plus its staircase.
 
     staircase is None exactly when the leading terms leave infinitely
     many monomials under the stairs.  A basis walked from a quotient
-    carries it, and any other gets it when first asked (see _quotient);
-    equality and hashing ignore it."""
+    carries it, and any other gets it when first asked (see _quotient).
+    Built with elements None, it holds a staircase and a quotient only
+    (see substitute), and the elements are walked from the quotient when
+    first read; a walked staircase other than the one held raises
+    RuntimeError.  Equality, hashing and repr read the elements and the
+    staircase, and ignore the quotient."""
 
-    elements: tuple
-    staircase: object
-    quotient: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("_elements", "staircase", "quotient")
+
+    def __init__(self, elements, staircase, quotient=None):
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "staircase", staircase)
+        object.__setattr__(self, "quotient", quotient)
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            walked = _lex_basis(self.quotient)
+            if walked.staircase != self.staircase:
+                raise RuntimeError(
+                    f"walked staircase {walked.staircase!r} differs from the "
+                    f"carried {self.staircase!r}"
+                )
+            object.__setattr__(self, "_elements", walked.elements)
+        return self._elements
 
     @property
     def is_zero_dimensional(self) -> bool:
         return self.staircase is not None
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ReducedGroebnerBasis)
+            and self.elements == other.elements
+            and self.staircase == other.staircase
+        )
+
+    def __hash__(self):
+        return hash((self.elements, self.staircase))
+
+    def __repr__(self):
+        return (
+            f"ReducedGroebnerBasis(elements={self.elements!r}, "
+            f"staircase={self.staircase!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ReducedGroebnerBasis is immutable")
 
 
 def _nf_terms(terms, basis_data):
@@ -578,7 +633,10 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
 
     p must not involve x_index; a constant p translates the support by -p.
     The inverse substitution x_index -> x_index - p makes M_index - p(M_other)
-    the new matrix, and one lex walk gives the basis the result carries.
+    the new matrix.  For index 1, and for a constant p, every lex leading
+    term stays where it was, so the result carries the input's staircase
+    and its basis elements are walked only when first read; otherwise one
+    lex walk gives the basis the result carries.
     """
     if any(e[index - 1] for e, _ in p.terms):
         raise ValueError(f"p must not involve x{index}")
@@ -587,7 +645,10 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
     gb = reduced_groebner_basis(ideal)
     if gb.staircase is None:
         raise NotZeroDimensional("ideal is not zero-dimensional")
-    return Ideal(_lex_basis(_substituted(_quotient(gb), index, p)))
+    quotient = _substituted(_quotient(gb), index, p)
+    if index == 1 or p.leading_exponent() == (0, 0):
+        return Ideal(ReducedGroebnerBasis(None, gb.staircase, quotient))
+    return Ideal(_lex_basis(quotient))
 
 
 def _substituted(quotient, index, p):

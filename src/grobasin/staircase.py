@@ -15,10 +15,11 @@ from dataclasses import dataclass
 class StandardSet:
     """A staircase, identified by its column heights (a partition).
 
-    Row widths are computed on first use and kept in the `_rows` slot;
-    equality and hashing read only the column heights."""
+    Row widths and the number of boxes are computed on first use and kept
+    in the `_rows` and `_cardinality` slots; equality and hashing read only
+    the column heights."""
 
-    __slots__ = ("column_heights", "_rows")
+    __slots__ = ("column_heights", "_rows", "_cardinality")
 
     def __init__(self, column_heights=()):
         heights = tuple(int(h) for h in column_heights)
@@ -41,7 +42,13 @@ class StandardSet:
 
     @property
     def cardinality(self) -> int:
-        return sum(self.column_heights)
+        try:
+            return self._cardinality
+        except AttributeError:
+            pass
+        n = sum(self.column_heights)
+        object.__setattr__(self, "_cardinality", n)
+        return n
 
     @property
     def width(self) -> int:

@@ -311,6 +311,21 @@ class TestRegressions:
         assert len(during) >= len(targets)
         assert not any(during)
 
+    @pytest.mark.parametrize(
+        "constraint,sampler", [("origin", "_origin_sample"), ("x1_axis", "_axis_sample")]
+    )
+    def test_recheck_walks_a_carried_staircase(self, monkeypatch, constraint, sampler):
+        # a sample that carries the target as its staircase but the quotient
+        # of (x1^3, x2) passes every check that reads only the carried claim
+        target = StandardSet([2, 1])
+        wrong = reduced_groebner_basis(groebner.monomial_ideal(StandardSet([1, 1, 1])))
+        claim = groebner.Ideal(
+            groebner.ReducedGroebnerBasis(None, target, groebner._quotient(wrong))
+        )
+        monkeypatch.setattr(basinlab, sampler, lambda *args: claim)
+        with pytest.raises(RuntimeError, match="walked staircase"):
+            sample_basin_ideal(BasinSampleSpec(target, constraint))
+
 
 class TestSuiteRegistry:
     @pytest.mark.parametrize("name", list(SUITES))

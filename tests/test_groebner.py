@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from grobasin import groebner
 from grobasin.groebner import (
     Ideal,
     LimitDoesNotExist,
     NotZeroDimensional,
+    ReducedGroebnerBasis,
     format_ideal,
     ideal_product,
     intersect_comaximal,
@@ -21,6 +23,7 @@ from grobasin.groebner import (
     staircase_of,
     substitute,
     supported_at_origin,
+    supported_on_line,
     tall_point_ideal,
     torus_limit,
     torus_scale,
@@ -96,6 +99,69 @@ class TestCarriedBasis:
         limit = torus_limit(ideal, v)
         assert reduced_groebner_basis(limit) is limit.basis
         assert limit.basis == self._fresh(limit)
+
+
+class TestDeferredSubstitution:
+    """x1 -> x1 + p(x2) and translations keep every lex leading term, so
+    substitute hands the staircase on and walks the basis only when read."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = groebner._walk
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(groebner, "_walk", counted)
+        return calls
+
+    @pytest.mark.parametrize("read", ["generators", "elements"])
+    @pytest.mark.parametrize(
+        "index,p",
+        [(1, P("-2/3")), (1, P("x2 - 3*x2^2")), (2, P("5"))],
+        ids=["x1-constant", "x1-in-x2", "x2-constant"],
+    )
+    def test_no_walk_until_the_basis_is_read(self, walks, read, index, p):
+        start = monomial_ideal(StandardSet([3, 1]))
+        image1, image2 = (X1 + p, X2) if index == 1 else (X1, X2 + p)
+        expected = reduced_groebner_basis(
+            Ideal([g.compose(image1, image2) for g in start.generators])
+        )
+        walks.clear()
+        ideal = substitute(start, index, p)
+        gb = reduced_groebner_basis(ideal)
+        assert staircase_of(ideal) == StandardSet([3, 1])
+        # the readers of the quotient and the staircase walk nothing
+        supported_at_origin(gb)
+        supported_on_line(gb, 1)
+        again = substitute(ideal, 1, Polynomial.constant(1))
+        assert staircase_of(again) == StandardSet([3, 1])
+        assert walks == []
+        if read == "generators":
+            assert ideal.generators == expected.elements
+        else:
+            assert gb.elements == expected.elements
+        assert len(walks) == 1
+        # the elements are kept: equality, hashing and repr walk no more
+        assert gb == expected and hash(ideal) == hash(Ideal(expected))
+        assert repr(ideal) == repr(Ideal(expected.elements))
+        assert len(walks) == 1
+
+    def test_x2_by_x1_walks_at_once(self, walks):
+        ideal = substitute(monomial_ideal(StandardSet([1, 1])), 2, X1)
+        assert len(walks) == 1
+        assert staircase_of(ideal) == StandardSet([2])
+        assert ideal.generators == (X2**2, X1 + X2)
+        assert len(walks) == 1
+
+    def test_a_wrong_carried_staircase_raises_when_walked(self):
+        quotient = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([2, 1]))))
+        claim = Ideal(ReducedGroebnerBasis(None, StandardSet([3]), quotient))
+        assert staircase_of(claim) == StandardSet([3])
+        with pytest.raises(RuntimeError, match="walked staircase"):
+            claim.generators
 
 
 class TestNormalForm:

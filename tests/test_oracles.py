@@ -5,7 +5,8 @@ reduced_groebner_basis, intersect_comaximal and torus_limit on seeded
 random ideals, and vanishing_ideal and the free sampler are checked
 against the closed form of the lex staircase of a point set.  The
 quotient matrices behind substitute and the samplers are checked against
-Polynomial.compose plus Buchberger, and for commuting.
+Polynomial.compose plus Buchberger and for commuting; substitute is also
+checked against sympy's own substitution and lex basis.
 """
 
 import random
@@ -337,6 +338,47 @@ def test_substitute_matches_compose_then_buchberger(seed):
     ours = substitute(ideal, index, p)
     assert ours.basis == expected
     assert ours.generators == expected.elements
+
+
+def _oracle_start(rng, kind):
+    """A monomial ideal, an origin or axis sample, or distinct points, with
+    colength at most 6."""
+    target = rng.choice(enumerate_staircases(rng.randint(1, 6)))
+    if kind == "monomial":
+        return monomial_ideal(target)
+    if kind in ("origin", "x1_axis"):
+        return sample_basin_ideal(BasinSampleSpec(target, kind, seed=rng.randrange(10**6)))
+    points = set()
+    while len(points) < target.cardinality:
+        points.add((_small(rng), rng.randint(-2, 2)))
+    return vanishing_ideal(sorted(points))
+
+
+@pytest.mark.parametrize("draw", range(3))
+@pytest.mark.parametrize(
+    "index,constant",
+    [(1, False), (1, True), (2, True), (2, False)],
+    # the first three hand the staircase on unwalked; the last walks at once
+    ids=["x1-in-x2", "x1-constant", "x2-constant", "x2-in-x1"],
+)
+@pytest.mark.parametrize("kind", ["monomial", "origin", "x1_axis", "points"])
+def test_substitute_matches_sympy(kind, index, constant, draw):
+    # the composed generators go to sympy as expressions: the substitution
+    # is sympy's own, and no grobasin code builds the expected basis
+    sympy = pytest.importorskip("sympy")
+    x1, x2 = sympy.symbols("x1 x2")
+    rng = random.Random(f"substitute:{kind}:{index}:{constant}:{draw}")
+    ideal = _oracle_start(rng, kind)
+    p = _shift(rng, index, constant)
+    var = (x1, x2)[index - 1]
+    composed = [
+        sympy.expand(_sympy_expr(g).subs(var, var + _sympy_expr(p)))
+        for g in ideal.generators
+    ]
+    ours = substitute(ideal, index, p)
+    assert {g.terms for g in ours.generators} == _sympy_terms(_sympy_groebner(composed))
+    if index == 1 or constant:
+        assert ours.basis.staircase == reduced_groebner_basis(ideal).staircase
 
 
 def test_substitute_rejects_the_substituted_variable():

@@ -102,19 +102,31 @@ class TestCachedRows:
                 assert StandardSet.from_rows(s.rows()) == s
                 assert StandardSet.from_columns(s.rows()) == s.transpose()
 
+    def test_cardinality_is_counted_once(self):
+        for n in range(7):
+            for s in enumerate_staircases(n):
+                assert not hasattr(s, "_cardinality")
+                assert s.cardinality == n == sum(s.cols())
+                assert s._cardinality == n
+                assert s.transpose().cardinality == n
+
+    # read_rows also reads the cardinality, so both lazy slots are filled
     @pytest.mark.parametrize("read_rows", [False, True])
-    @pytest.mark.parametrize("name", ["column_heights", "_rows", "other"])
+    @pytest.mark.parametrize("name", ["column_heights", "_rows", "_cardinality", "other"])
     def test_still_immutable(self, read_rows, name):
         s = StandardSet([3, 1, 1])
         if read_rows:
             s.rows()
+            s.cardinality
         with pytest.raises(AttributeError):
             setattr(s, name, (1,))
         assert s.cols() == (3, 1, 1) and s.rows() == (3, 1, 1)
+        assert s.cardinality == 5
 
     def test_reading_rows_changes_no_identity(self):
         a, b = StandardSet([4, 2, 1]), StandardSet([4, 2, 1])
         a.rows()
+        assert a.cardinality == 7
         assert a == b and b == a
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
