@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .groebner import (
     Ideal,
@@ -289,8 +290,33 @@ def _label(s: StandardSet) -> str:
     return "cols(" + ",".join(str(h) for h in s.cols()) + ")"
 
 
+@lru_cache(maxsize=None)
+def _partition_counts(n):
+    # counts[m][j]: the partitions of m with no part above j, for m, j <= n
+    counts = [[1] * (n + 1)]
+    for m in range(1, n + 1):
+        row = [0]
+        for j in range(1, n + 1):
+            row.append(row[-1] + (counts[m - j][j] if j <= m else 0))
+        counts.append(row)
+    return counts
+
+
 def _random_staircase(rng, n):
-    return rng.choice(enumerate_staircases(n))
+    # the k-th of enumerate_staircases(n) for k = rng.randrange(p(n)), which
+    # consumes the rng as rng.choice on that list does: taken column by
+    # column, largest first, by the counts of staircases under each choice
+    counts = _partition_counts(n)
+    k = rng.randrange(counts[n][n])
+    heights, rest = [], n
+    while rest:
+        part = min(rest, heights[-1] if heights else n)
+        while k >= counts[rest - part][part]:
+            k -= counts[rest - part][part]
+            part -= 1
+        heights.append(part)
+        rest -= part
+    return StandardSet(heights)
 
 
 def _split_total(rng, n, max_parts):

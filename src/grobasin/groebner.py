@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .poly import Polynomial, format_polynomial, parse_polynomial
@@ -79,11 +80,11 @@ class ReducedGroebnerBasis:
     staircase is None exactly when the leading terms leave infinitely
     many monomials under the stairs.  A basis walked from a quotient
     carries it, and any other gets it when first asked (see _quotient).
-    Built with elements None, it holds a staircase and a quotient only
-    (see substitute), and the elements are walked from the quotient when
-    first read; a walked staircase other than the one held raises
-    RuntimeError.  Equality, hashing and repr read the elements and the
-    staircase, and ignore the quotient."""
+    The elements are given as a tuple, or as a function of no arguments
+    that returns that tuple and runs when they are first read: a walk
+    builds its elements only then, and a substitution that keeps the
+    staircase walks only then (see substitute).  Equality, hashing and
+    repr read the elements and the staircase, and ignore the quotient."""
 
     __slots__ = ("_elements", "staircase", "quotient")
 
@@ -94,15 +95,11 @@ class ReducedGroebnerBasis:
 
     @property
     def elements(self) -> tuple:
-        if self._elements is None:
-            walked = _lex_basis(self.quotient)
-            if walked.staircase != self.staircase:
-                raise RuntimeError(
-                    f"walked staircase {walked.staircase!r} differs from the "
-                    f"carried {self.staircase!r}"
-                )
-            object.__setattr__(self, "_elements", walked.elements)
-        return self._elements
+        elements = self._elements
+        if callable(elements):
+            elements = elements()
+            object.__setattr__(self, "_elements", elements)
+        return elements
 
     @property
     def is_zero_dimensional(self) -> bool:
@@ -323,25 +320,28 @@ def _eliminate(vec, tag, rows):
 
 
 def _walk(quotient, key):
-    """Reduced basis elements, in the order `key`, of the ideal of all f
-    with f(M1, M2) one = 0, for a quotient (M1, M2, one).
+    """Leads and integer relations of the reduced basis, in the order `key`,
+    of the ideal of all f with f(M1, M2) one = 0, for a quotient (M1, M2,
+    one).
 
     FGLM (Faugere, Gianni, Lazard and Mora 1993), in the form of Marinari,
     Moeller and Mora (1993).  Monomials m are visited upward in `key` from
     1, past multiples of the leads found; the vector of m is a visited
     predecessor's times M1 or M2.  With a column -1 - k for the k-th
     standard monomial it is row-reduced against the earlier ones: a new
-    row, or with only negative columns left, the next element, made monic
-    on the column of m.
+    row, or with only negative columns left, the next element, kept as a
+    relation {monomial: integer} over m and the standard monomials before
+    it (see _monic).
     """
     heap = [(key((0, 0)), (0, 0), None, 0)]
-    rows, vectors, standard, leads, elements = {}, {}, [], [], []
+    rows, vectors, standard, leads, relations = {}, {}, [], [], []
     while heap:
         _, m, pred, k = heapq.heappop(heap)
         if m in vectors or any(l[0] <= m[0] and l[1] <= m[1] for l in leads):
             continue
         vec = quotient[2] if pred is None else _apply(quotient[k], vectors[pred])
-        relation = _eliminate(vec, -1 - len(standard), rows)
+        tag = -1 - len(standard)
+        relation = _eliminate(vec, tag, rows)
         if relation is None:
             vectors[m] = vec
             standard.append(m)
@@ -349,17 +349,42 @@ def _walk(quotient, key):
                 heapq.heappush(heap, (key(nxt), nxt, m, k))
         else:
             leads.append(m)
-            names = standard + [m]
-            lead = relation[-1 - len(standard)]
-            elements.append(
-                Polynomial({names[-1 - t]: Fraction(c, lead) for t, c in relation.items()})
+            relations.append(
+                {(standard[-1 - t] if t > tag else m): c for t, c in relation.items()}
             )
-    return elements
+    return leads, relations
+
+
+def _monic(lead, relation):
+    # the basis element of a walk's relation, monic on its lead
+    scale = relation[lead]
+    return Polynomial({e: Fraction(c, scale) for e, c in relation.items()})
 
 
 def _lex_basis(quotient):
-    # the zero weight refined by lex is lex
-    return _as_basis(_walk(quotient, _weight_key((0, 0))), quotient)
+    # the zero weight refined by lex is lex, so the leads come sorted; the
+    # elements are built when first read
+    leads, relations = _walk(quotient, _weight_key((0, 0)))
+    return ReducedGroebnerBasis(
+        lambda: tuple(map(_monic, leads, relations)),
+        _staircase_from_corners(leads),
+        quotient,
+    )
+
+
+def _unwalked(staircase, quotient):
+    # a basis held as a staircase and a quotient; reading its elements walks
+    # the quotient and raises unless the walk finds that staircase too
+    def walked():
+        basis = _lex_basis(quotient)
+        if basis.staircase != staircase:
+            raise RuntimeError(
+                f"walked staircase {basis.staircase!r} differs from the "
+                f"carried {staircase!r}"
+            )
+        return basis.elements
+
+    return ReducedGroebnerBasis(walked, staircase, quotient)
 
 
 def _on_monomials(standard, normal_form):
@@ -395,13 +420,11 @@ def _quotient(gb):
     return gb.quotient
 
 
-def _as_basis(elements, quotient=None):
+def _as_basis(elements):
     # reduced lex basis elements, in any order
     elements = sorted(elements, key=Polynomial.leading_exponent)
     corners = [g.leading_exponent() for g in elements]
-    return ReducedGroebnerBasis(
-        tuple(elements), _staircase_from_corners(corners), quotient
-    )
+    return ReducedGroebnerBasis(tuple(elements), _staircase_from_corners(corners))
 
 
 def _staircase_from_corners(corners):
@@ -433,9 +456,17 @@ def staircase_of(ideal: Ideal) -> StandardSet:
 
 def monomial_ideal(s: StandardSet) -> Ideal:
     """The monomial ideal whose staircase is s, carrying its basis (the
-    corners) and its quotient: x1 and x2 shift the boxes, off s to 0."""
-    corners = [Polynomial.monomial(e) for e in sorted(s.outer_corners())]
-    return Ideal(_as_basis(corners, _on_monomials(sorted(s.points()), lambda e: ({}, 1))))
+    corners) and its quotient: x1 and x2 shift the boxes, off s to 0.
+    Every call with the same staircase carries the same basis object."""
+    return Ideal(_monomial_basis(s))
+
+
+@lru_cache(maxsize=None)
+def _monomial_basis(s):
+    # immutable, so one per staircase serves every caller
+    corners = tuple(Polynomial.monomial(e) for e in sorted(s.outer_corners()))
+    quotient = _on_monomials(sorted(s.points()), lambda e: ({}, 1))
+    return ReducedGroebnerBasis(corners, s, quotient)
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -612,7 +643,7 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
         key = _weight_key((v1, v2))
         weighted = gb.elements
         if any(g.leading_under(key)[0] != g.terms[0][0] for g in weighted):
-            weighted = _walk(_quotient(gb), key)
+            weighted = map(_monic, *_walk(_quotient(gb), key))
         limit_gb = _as_basis(_initial_form(dict(g.terms), (v1, v2)) for g in weighted)
     else:
         # the grid of n(n+1)/2 vectors is built only after this check
@@ -647,29 +678,44 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
         raise NotZeroDimensional("ideal is not zero-dimensional")
     quotient = _substituted(_quotient(gb), index, p)
     if index == 1 or p.leading_exponent() == (0, 0):
-        return Ideal(ReducedGroebnerBasis(None, gb.staircase, quotient))
+        return Ideal(_unwalked(gb.staircase, quotient))
     return Ideal(_lex_basis(quotient))
 
 
 def _substituted(quotient, index, p):
-    # the quotient with M_index replaced by M_index - p(M_other); p nonzero
-    quotient = list(quotient)
-    other = quotient[2 - index]
+    # the quotient with M_index replaced by M_index - p(M_other); p nonzero.
+    # With p = sum a_b x^b / cden of degree d and M_other = C / oden, the
+    # columns of p(M_other) are those of sum a_b oden^(d - b) C^b over
+    # cden * oden^d, one Horner pass each on integers; the new matrix goes
+    # over the lcm of that and M_index's denominator, and its content is
+    # divided out once
     cols, den = quotient[index - 1]
-    coeffs, coeff_den = _vector({e[2 - index]: c for e, c in p.terms})
+    other, oden = quotient[2 - index]
+    coeffs, cden = _vector({e[2 - index]: c for e, c in p.terms})
+    d = max(coeffs)
+    pden = cden * oden**d
+    common = lcm(den, pden)
+    scale, keep = common // pden, common // den
+    horner = [-coeffs.get(b, 0) * scale * oden ** (d - b) for b in range(d, -1, -1)]
     moved = []
     for j, col in enumerate(cols):
-        terms, power = [(col, den)], ({j: 1}, 1)
-        for b in range(max(coeffs) + 1):
-            if b:
-                power = _apply(other, power)
-            if b in coeffs:
-                entries, power_den = power
-                terms.append(
-                    ({i: -coeffs[b] * c for i, c in entries.items()}, coeff_den * power_den)
-                )
-        moved.append(_sum(terms))
-    quotient[index - 1] = _matrix(moved)
+        acc = {j: horner[0]}
+        for h in horner[1:]:
+            nxt = {}
+            for k, c in acc.items():
+                for i, a in other[k].items():
+                    nxt[i] = nxt.get(i, 0) + c * a
+            if h:
+                nxt[j] = nxt.get(j, 0) + h
+            acc = nxt
+        for i, c in col.items():
+            acc[i] = acc.get(i, 0) + c * keep
+        moved.append({i: c for i, c in acc.items() if c})
+    g = gcd(common, *(c for col in moved for c in col.values()))
+    if g != 1:
+        moved = [{i: c // g for i, c in col.items()} for col in moved]
+    quotient = list(quotient)
+    quotient[index - 1] = (moved, common // g)
     return tuple(quotient)
 
 

@@ -210,6 +210,10 @@ def format_polynomial(p: Polynomial) -> str:
     return "".join(out)
 
 
+# far above any degree the package's experiments reach; a parsed term past
+# it would make the staircase or the quotient of a file's ideal that wide
+MAX_EXPONENT = 100_000
+
 _COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
 _VAR_RE = re.compile(r"^x([12])(?:\^(\d+))?$")
 
@@ -248,6 +252,10 @@ def parse_polynomial(text: str) -> Polynomial:
                 e1 += k
             else:
                 e2 += k
+        if max(e1, e2) > MAX_EXPONENT:
+            raise ValueError(
+                f"exponent {max(e1, e2)} in {chunk!r} is above {MAX_EXPONENT}"
+            )
         exp = (e1, e2)
         acc[exp] = acc.get(exp, Fraction(0)) + coeff
     return Polynomial(acc)

@@ -289,3 +289,17 @@ def test_criteria_21_to_24_exhaustive_suites(num, suite, n_max):
     with _within(10, num, f"{suite} at n = {n_max} reproduces its golden report"):
         report = runner(100, 0, n_max)
         assert report.to_json() + "\n" == _golden(f"verify_n{n_max}_{suite}.json")
+
+
+@pytest.mark.parametrize(
+    "num,suite",
+    [(25, "punc"), (26, "calibration")],
+    ids=lambda p: p if isinstance(p, str) else None,
+)
+def test_criteria_25_26_sampler_suites_at_nmax_48(num, suite):
+    # the golden reports were recorded with the staircase drawn by
+    # rng.choice(enumerate_staircases(n)), which lists all p(n) of them
+    runner = SUITES[suite][0]
+    with _within(10, num, f"{suite} at n_max 48 reproduces its golden report"):
+        report = runner(100, 0, 48)
+        assert report.to_json() + "\n" == _golden(f"verify_nmax48_{suite}.json")

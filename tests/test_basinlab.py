@@ -129,6 +129,24 @@ class TestSamplerContracts:
         assert len(seen) > 1
 
 
+class TestStaircaseDraw:
+    @pytest.mark.parametrize("n", range(21))
+    def test_matches_a_choice_from_the_full_list(self, n):
+        # the same staircase, and the rng left where rng.choice leaves it
+        staircases = enumerate_staircases(n)
+        for seed in range(30):
+            drawn, listed = random.Random(seed), random.Random(seed)
+            assert basinlab._random_staircase(drawn, n) == listed.choice(staircases)
+            assert drawn.random() == listed.random()
+
+    def test_draws_at_sizes_too_large_to_list(self):
+        start = time.perf_counter()
+        rng = random.Random(0)
+        for _ in range(100):
+            assert basinlab._random_staircase(rng, 200).cardinality == 200
+        assert time.perf_counter() - start < 2
+
+
 class TestSupportOnLine:
     def test_matches_normal_form_of_the_line_power(self):
         # (x2 - level)^n reduced by the basis against the nilpotency of
@@ -320,7 +338,7 @@ class TestRegressions:
         target = StandardSet([2, 1])
         wrong = reduced_groebner_basis(groebner.monomial_ideal(StandardSet([1, 1, 1])))
         claim = groebner.Ideal(
-            groebner.ReducedGroebnerBasis(None, target, groebner._quotient(wrong))
+            groebner._unwalked(target, groebner._quotient(wrong))
         )
         monkeypatch.setattr(basinlab, sampler, lambda *args: claim)
         with pytest.raises(RuntimeError, match="walked staircase"):

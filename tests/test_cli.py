@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -262,6 +263,17 @@ class TestGroebner:
         assert code == 2
         assert out == ""
         assert err == "error: line 2: zero denominator in '1/0'\n"
+
+    def test_huge_exponent_exits_fast(self, capsys, tmp_path):
+        path = tmp_path / "ideal.txt"
+        path.write_text("x1^100000000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["groebner", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: exponent 100000000")
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,8 +1,10 @@
+import copy
 import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,7 +31,7 @@ from grobasin.groebner import (
     torus_scale,
     vanishing_ideal,
 )
-from grobasin.groebner import _quotient
+from grobasin.groebner import _quotient, _substituted, _unwalked
 from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.poly import Polynomial, X1, X2, parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
@@ -158,10 +160,117 @@ class TestDeferredSubstitution:
 
     def test_a_wrong_carried_staircase_raises_when_walked(self):
         quotient = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([2, 1]))))
-        claim = Ideal(ReducedGroebnerBasis(None, StandardSet([3]), quotient))
+        claim = Ideal(_unwalked(StandardSet([3]), quotient))
         assert staircase_of(claim) == StandardSet([3])
         with pytest.raises(RuntimeError, match="walked staircase"):
             claim.generators
+
+
+def _dense(matrix, size):
+    cols, den = matrix
+    return [[Fraction(cols[j].get(i, 0), den) for j in range(size)] for i in range(size)]
+
+
+def _times(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b))]
+        for i in range(len(a))
+    ]
+
+
+class TestSubstitutedMatrices:
+    """_substituted against M_index - p(M_other) in exact dense Fractions."""
+
+    @staticmethod
+    def _quotients():
+        square = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([4, 3, 1]))))
+        # after an x2 substitution the matrices are dense, with denominators
+        dense = _quotient(
+            reduced_groebner_basis(
+                substitute(monomial_ideal(StandardSet([3, 2, 1])), 2, P("2/3*x1 - 5/4*x1^2"))
+            )
+        )
+        return [square, dense]
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_matches_the_dense_oracle(self, index):
+        rng = random.Random(index)
+        for quotient in self._quotients():
+            size = len(quotient[0][0])
+            other = _dense(quotient[2 - index], size)
+            for degree in range(6):
+                for _ in range(3):
+                    exps = {degree} | {rng.randint(0, degree) for _ in range(2)}
+                    coeffs = {
+                        b: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+                        for b in exps
+                    }
+                    p = Polynomial(
+                        {((0, b) if index == 1 else (b, 0)): c for b, c in coeffs.items()}
+                    )
+                    expected = _dense(quotient[index - 1], size)
+                    power = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+                    for b in range(degree + 1):
+                        if b:
+                            power = _times(other, power)
+                        for i in range(size):
+                            for j in range(size):
+                                expected[i][j] -= coeffs.get(b, 0) * power[i][j]
+                    moved = _substituted(quotient, index, p)
+                    assert _dense(moved[index - 1], size) == expected
+                    cols, den = moved[index - 1]
+                    # over the least common denominator, with no zero entries
+                    assert den > 0
+                    assert gcd(den, *(c for col in cols for c in col.values())) == 1
+                    assert all(c for col in cols for c in col.values())
+                    assert moved[2 - index] is quotient[2 - index]
+                    assert moved[2] is quotient[2]
+
+
+class TestElementsBuiltWhenRead:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        init = Polynomial.__init__
+
+        def counted(self, coeffs=None):
+            calls.append(coeffs)
+            init(self, coeffs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["intersection", "x2-substitution"])
+    def test_no_polynomial_until_read(self, built, case):
+        shift, again = P("x1 - 2*x1^2"), P("x2")
+        if case == "intersection":
+            factors = [tall_point_ideal(2, [0, 1]), point_ideal((1, 0)), point_ideal((0, 5))]
+            fresh = reduced_groebner_basis(
+                ideal_product(ideal_product(*factors[:2]), factors[2])
+            )
+        else:
+            start = monomial_ideal(StandardSet([3, 1]))
+            fresh = reduced_groebner_basis(
+                Ideal([g.compose(X1, X2 + shift) for g in start.generators])
+            )
+        built.clear()
+        if case == "intersection":
+            ideal = intersect_comaximal(factors)
+        else:
+            ideal = substitute(start, 2, shift)
+        gb = reduced_groebner_basis(ideal)
+        # the readers of the staircase and the quotient build nothing
+        assert gb.staircase == fresh.staircase
+        supported_at_origin(gb)
+        supported_on_line(gb, 0)
+        substitute(ideal, 1, again)
+        assert built == []
+        assert gb == fresh
+        assert built
+        assert hash(gb) == hash(fresh) and hash(ideal) == hash(Ideal(fresh))
+        assert repr(gb) == repr(fresh)
+        assert repr(ideal) == repr(Ideal(fresh.elements))
+        assert ideal.generators is gb.elements
 
 
 class TestNormalForm:
@@ -295,6 +404,20 @@ class TestMonomialIdeals:
                 assert ideal.basis == fresh
                 assert ideal.generators == fresh.elements
                 assert ideal.basis.quotient == _quotient(fresh)
+
+
+    def test_one_basis_per_staircase_left_unchanged_by_its_users(self):
+        s = StandardSet([3, 2, 2])
+        first, second = monomial_ideal(s), monomial_ideal(StandardSet([3, 2, 2]))
+        assert first.basis is second.basis
+        before = copy.deepcopy(first.basis.quotient)
+        substitute(first, 1, P("2*x2 - x2^2"))
+        substitute(first, 1, P("-3"))
+        substitute(first, 2, P("x1 + 1/2*x1^2"))
+        substitute(first, 2, P("5/7"))
+        intersect_comaximal([first, point_ideal((1, 1)), substitute(second, 1, P("4"))])
+        assert first.basis.quotient == before
+        assert monomial_ideal(s).basis is first.basis
 
 
 class TestPointsAndIntersections:

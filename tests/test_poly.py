@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from grobasin.poly import (
+    MAX_EXPONENT,
     ONE,
     Polynomial,
     X1,
@@ -170,6 +171,14 @@ class TestTextFormat:
     def test_parse_rejects_garbage(self):
         for bad in ["", "x3", "x1^", "4x1", "x1**2", "+", "x1 + ", "y"]:
             with pytest.raises(ValueError):
+                parse_polynomial(bad)
+
+    def test_parse_bounds_each_exponent(self):
+        assert parse_polynomial(f"x1^{MAX_EXPONENT}*x2^{MAX_EXPONENT}").terms == (
+            ((MAX_EXPONENT, MAX_EXPONENT), 1),
+        )
+        for bad in [f"x2^{MAX_EXPONENT + 1}", f"x1^{MAX_EXPONENT}*x1", "x1^100000000 + 1"]:
+            with pytest.raises(ValueError, match="above"):
                 parse_polynomial(bad)
 
     def test_format_zero(self):
