@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success (for `check`: the relation holds), 1 a definite
-negative (relation fails, verification failures, undefined limits),
-2 usage or parse problems.
+negative (relation fails, verification failures, undefined limits) or a
+reader that closed the output pipe early, 2 usage or parse problems.
 """
 
 from __future__ import annotations
@@ -206,6 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        # flush here, so a closed pipe raises below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`grobasin enumerate 30 | head`); point
+        # stdout at devnull so the interpreter's final flush stays quiet,
+        # as the recipe in the docs of Python's signal module does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "enumerate":

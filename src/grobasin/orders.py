@@ -45,7 +45,17 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
     """
     if a.cardinality != b.cardinality:
         return False
-    return _fill_blocks(a.rows(), b.rows())
+    ra, rb = a.rows(), b.rows()
+    # the k widest rows of a lie in at most k blocks, so the k widest rows
+    # of b hold at least their sum: merging can only raise the row partial
+    # sums.  zip suffices, as equal totals expose a longer rb at ra's end
+    sa = sb = 0
+    for wa, wb in zip(ra, rb):
+        sa += wa
+        sb += wb
+        if sb < sa:
+            return False
+    return _fill_blocks(ra, rb)
 
 
 def et_row_partition(a: StandardSet, b: StandardSet):
@@ -101,16 +111,30 @@ def _break_columns(targets, avail):
     return False
 
 
+@lru_cache(maxsize=None)
+def _height_counts(cols):
+    # columns are weakly decreasing, so equal heights are adjacent
+    return tuple(
+        (h, sum(1 for _ in run)) for h, run in itertools.groupby(cols)
+    )
+
+
 def leq_punc(a: StandardSet, b: StandardSet) -> bool:
     """True iff each column of a breaks into vertical pieces such that the
     multiset of all pieces equals the columns of b."""
     if a.cardinality != b.cardinality:
         return False
-    # columns are weakly decreasing, so equal heights are adjacent
-    counts = tuple(
-        (h, sum(1 for _ in run)) for h, run in itertools.groupby(b.cols())
-    )
-    return _break_columns(a.cols(), counts)
+    ca, cb = a.cols(), b.cols()
+    # the k tallest columns of b are pieces of at most k columns of a, so
+    # breaking can only lower the column partial sums.  zip suffices, as
+    # equal totals expose a longer ca at cb's end
+    sa = sb = 0
+    for ha, hb in zip(ca, cb):
+        sa += ha
+        sb += hb
+        if sa < sb:
+            return False
+    return _break_columns(ca, _height_counts(cb))
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +604,22 @@ def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
 
     Returns a certificate that check_certificate accepts, or None when no
     certificate exists.  bound caps the cardinality the search accepts.
+
+    A certificate implies dominance(a, b), so pairs failing it return None
+    before any search.  Write lam >= mu when the column partial sums of lam
+    stay >= those of mu, lam | mu for sum1 (the union of the columns) and
+    lam + mu for sum2 (the column vectors added).  Then:
+
+    - each matched factor pair has leq_punc(f, f'), so f >= f';
+    - | keeps >=: the top-k partial sum of lam | mu is the best split of k
+      between the top partial sums of lam and of mu;
+    - + keeps >=, as partial sums add;
+    - lam + mu >= lam | mu, since each such split is bounded by the two
+      top-k partial sums together.
+
+    A b-line L' receives whole a-lines L1..Lr, and its factors are matched
+    one to one with theirs, so L' <= L1 | ... | Lr <= L1 + ... + Lr.
+    Adding over the b-lines gives b <= a.
     """
     if a.cardinality > bound or b.cardinality > bound:
         raise ValueError(f"cardinality exceeds search bound {bound}")
@@ -587,6 +627,8 @@ def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
         return None
     if a.cardinality == 0:
         return IncidenceCertificate(a, b, {}, {}, {})
+    if not dominance(a, b):
+        return None
     # a certificate pairs every factor of dec_a with one of dec_b along
     # leq_punc, which needs equal cardinality, so only decompositions with
     # the same factor cardinalities can match

@@ -1,9 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import grobasin
 from grobasin.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -412,3 +416,23 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader takes 20 bytes of a long listing and closes the pipe
+        src = str(pathlib.Path(grobasin.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from grobasin.cli import main; sys.exit(main())",
+             "enumerate", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(20).startswith(b"40\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err, err.decode()

@@ -6,6 +6,11 @@ import pytest
 from grobasin.orders import (
     IncidenceCertificate,
     SplitQuadruple,
+    _break_columns,
+    _build_certificate,
+    _fill_blocks,
+    _match_lines,
+    _signed_decompositions,
     build_poset,
     check_certificate,
     dominance,
@@ -447,6 +452,56 @@ class TestCertificates:
         assert find_certificate(NONEX_B, NONEX_A) is None
 
 
+def uncut_certificate(a, b):
+    # find_certificate's search for a nonempty pair without its dominance
+    # cut: every signature-matched pair of decompositions, in order
+    by_signature = _signed_decompositions(b.cols())[1]
+    for signature, dec_a in _signed_decompositions(a.cols())[0]:
+        for dec_b in by_signature.get(signature, ()):
+            if len(dec_b) > len(dec_a):
+                continue
+            assignment = _match_lines(dec_a, dec_b)
+            if assignment is not None:
+                return _build_certificate(dec_a, dec_b, assignment)
+    return None
+
+
+class TestFastRejections:
+    # the partial-sum pre-tests of the orders and the dominance cut of
+    # find_certificate may only skip searches whose answer is no
+
+    def test_et_pre_test_keeps_every_answer(self):
+        for n in range(13):
+            sts = enumerate_staircases(n)
+            for a, b in itertools.product(sts, sts):
+                assert leq_et(a, b) == _fill_blocks(a.rows(), b.rows())
+
+    def test_punc_pre_test_keeps_every_answer(self):
+        for n in range(13):
+            sts = enumerate_staircases(n)
+            for a, b in itertools.product(sts, sts):
+                counts = tuple(
+                    (h, sum(1 for _ in run))
+                    for h, run in itertools.groupby(b.cols())
+                )
+                assert leq_punc(a, b) == _break_columns(a.cols(), counts)
+
+    def test_dominance_cut_against_uncut_search(self):
+        for n in range(1, 9):
+            sts = enumerate_staircases(n)
+            cut = found = 0  # counted per size; pinned at n = 8
+            for a, b in itertools.product(sts, sts):
+                uncut = uncut_certificate(a, b)
+                if not dominance(a, b):
+                    cut += 1
+                    assert uncut is None, (a.cols(), b.cols())
+                if uncut is not None:
+                    found += 1
+                    assert dominance(a, b)
+                assert find_certificate(a, b) == uncut
+        assert (found, cut) == (235, 246)
+
+
 class TestScalingBudgets:
     # the exhaustive checks at the sizes the benchmark runs; the answers
     # are pinned so a fast wrong search cannot pass
@@ -473,5 +528,17 @@ class TestScalingBudgets:
         elapsed = time.perf_counter() - start
         assert sizes == {
             "et": (135, 525), "punc": (135, 525), "dominance": (135, 247)
+        }
+        assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"
+
+    def test_posets_at_n16_within_budget(self):
+        start = time.perf_counter()
+        sizes = {}
+        for name in ("et", "punc", "dominance"):
+            poset = build_poset(16, name)
+            sizes[name] = (len(poset.elements), len(poset.covers))
+        elapsed = time.perf_counter() - start
+        assert sizes == {
+            "et": (231, 1033), "punc": (231, 1033), "dominance": (231, 459)
         }
         assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"
