@@ -8,11 +8,12 @@ the exact failure strings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .groebner import (
     Ideal,
@@ -159,17 +160,27 @@ def _axis_sample(target, rng, max_rejections):
             )
 
 
+def _line_points(rng, blocks):
+    # one distinct horizontal line per block, then distinct abscissas per
+    # row of the block, each row's points on its block's line; None as soon
+    # as two rows of a block share an abscissa
+    points = []
+    for block, lam in zip(blocks, _distinct_fractions(rng, len(blocks))):
+        used = set()
+        for width in block:
+            xs = _distinct_fractions(rng, width)
+            if used.intersection(xs):
+                return None
+            used.update(xs)
+            points.extend((x, lam) for x in xs)
+    return points
+
+
 def _free_sample(target, rng):
     # the etale configuration: |row_i| points on a private horizontal line.
     # By Cerlienco-Mureddu the lex staircase of distinct points has the
     # per-line counts, sorted, as its rows, so every draw lands in target.
-    rows = target.rows()
-    lines = _distinct_fractions(rng, len(rows))
-    points = []
-    for width, lam in zip(rows, lines):
-        for x in _distinct_fractions(rng, width):
-            points.append((x, lam))
-    return vanishing_ideal(points)
+    return vanishing_ideal(_line_points(rng, [(width,) for width in target.rows()]))
 
 
 def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
@@ -253,33 +264,23 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-class _Recorder:
-    def __init__(self, experiment, seed):
-        self.experiment_name = experiment
-        self.seed = seed
-        self.run = 0
-        self.passed = 0
-        self.failures = []
-
-    def record(self, case, ok, expected, observed):
-        self.run += 1
+def _report(experiment, seed, cases):
+    # runs each (case, attempt) in order; attempt() returns (ok, expected,
+    # observed), and a sampler out of budget is recorded as a failed case
+    run = passed = 0
+    failures = []
+    for case, attempt in cases:
+        run += 1
+        try:
+            ok, expected, observed = attempt()
+        except SamplingError as exc:
+            failures.append((case, "a sample", f"SamplingError: {exc}"))
+            continue
         if ok:
-            self.passed += 1
+            passed += 1
         else:
-            self.failures.append((case, expected, observed))
-
-    def sampling_failure(self, case, exc):
-        self.run += 1
-        self.failures.append((case, "a sample", f"SamplingError: {exc}"))
-
-    def report(self) -> ExperimentReport:
-        return ExperimentReport(
-            self.experiment_name,
-            self.seed,
-            self.run,
-            self.passed,
-            tuple(self.failures),
-        )
+            failures.append((case, expected, observed))
+    return ExperimentReport(experiment, seed, run, passed, tuple(failures))
 
 
 def _trial_rng(experiment, seed, trial):
@@ -336,16 +337,11 @@ def _trial_loop(experiment, stream, trials, seed, trial):
     from the stream name, and returns (case, attempt); attempt() samples
     with the same rng and returns (ok, expected, observed).  A sampler that
     runs out of budget is recorded as a failed case."""
-    rec = _Recorder(experiment, seed)
-    for index in range(trials):
-        case, attempt = trial(index, _trial_rng(stream, seed, index))
-        try:
-            outcome = attempt()
-        except SamplingError as exc:
-            rec.sampling_failure(case, exc)
-            continue
-        rec.record(case, *outcome)
-    return rec.report()
+    return _report(
+        experiment,
+        seed,
+        (trial(index, _trial_rng(stream, seed, index)) for index in range(trials)),
+    )
 
 
 def _merge_suite(experiment, index, sampler, max_parts, merge, trials, n_max, seed):
@@ -403,54 +399,46 @@ def run_divisibility(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentRe
     return _trial_loop("divisibility", "divisibility", trials, seed, trial)
 
 
+def _et_closure_case(a, b, seed):
+    # merge the lines of a point configuration for a as the witness row
+    # partition prescribes; (ok, expected, observed) for the first draw
+    # whose merged rows keep their points apart
+    witness = et_row_partition(a, b)
+    if witness is None:
+        raise ValueError("run_et_closure needs leq_et(a, b) to hold")
+    rng = _trial_rng("et_closure", seed, 0)
+    for _ in range(20):
+        points = _line_points(rng, witness)
+        if points is not None:
+            observed = staircase_of(vanishing_ideal(points))
+            return observed == b, _label(b), _label(observed)
+    raise SamplingError("persistent point collisions while merging")
+
+
 def run_et_closure(a: StandardSet, b: StandardSet, seed: int = 0) -> ExperimentReport:
     """Merge the lines of a point configuration for a onto fewer lines as
     prescribed by a row partition witnessing leq_et(a, b); the collided
     configuration must land in the basin of b."""
-    witness = et_row_partition(a, b)
-    if witness is None:
-        raise ValueError("run_et_closure needs leq_et(a, b) to hold")
-    rec = _Recorder("et_closure", seed)
-    rng = _trial_rng("et_closure", seed, 0)
     case = f"{_label(a)}->{_label(b)}"
-    for attempt in range(20):
-        levels = _distinct_fractions(rng, len(witness))
-        points = []
-        collision = False
-        for block, lam in zip(witness, levels):
-            used = set()
-            for width in block:
-                xs = _distinct_fractions(rng, width)
-                if any(x in used for x in xs):
-                    collision = True
-                    break
-                used.update(xs)
-                points.extend((x, lam) for x in xs)
-            if collision:
-                break
-        if collision:
-            continue
-        observed = staircase_of(vanishing_ideal(points))
-        rec.record(case, observed == b, _label(b), _label(observed))
-        return rec.report()
-    rec.sampling_failure(case, "persistent point collisions while merging")
-    return rec.report()
+    return _report("et_closure", seed, [(case, partial(_et_closure_case, a, b, seed))])
 
 
 def run_et_closure_covers(n_max: int = 6, seed: int = 0) -> ExperimentReport:
     """run_et_closure across every cover of the row merging poset up to
     n_max, one case per cover."""
-    rec = _Recorder("et_closure_covers", seed)
-    for n in range(2, n_max + 1):
-        poset = build_poset(n, "et")
-        for i, j in poset.covers:
-            a, b = poset.elements[i], poset.elements[j]
-            sub = run_et_closure(a, b, seed=seed + 7919 * n + i * 101 + j)
-            for case, e, o in sub.failures:
-                rec.record(f"n={n} {case}", False, e, o)
-            if sub.passed:
-                rec.record(f"n={n} {_label(a)}->{_label(b)}", True, "", "")
-    return rec.report()
+
+    def cases():
+        for n in range(2, n_max + 1):
+            poset = build_poset(n, "et")
+            for i, j in poset.covers:
+                a, b = poset.elements[i], poset.elements[j]
+                sub_seed = seed + 7919 * n + i * 101 + j
+                yield (
+                    f"n={n} {_label(a)}->{_label(b)}",
+                    partial(_et_closure_case, a, b, sub_seed),
+                )
+
+    return _report("et_closure_covers", seed, cases())
 
 
 def run_punc_consistency(trials: int, n_max: int = 6, seed: int = 0) -> ExperimentReport:
@@ -538,13 +526,15 @@ def run_single_column_density(n: int, trials: int, seed: int = 0) -> ExperimentR
 
 def _all_pairs(experiment, n_max, probe):
     # probe(a, b) -> (ok, expected, observed); these reports ignore the seed
-    rec = _Recorder(experiment, 0)
-    for n in range(1, n_max + 1):
-        staircases = enumerate_staircases(n)
-        for a in staircases:
-            for b in staircases:
-                rec.record(f"a=cols{a.cols()} b=cols{b.cols()}", *probe(a, b))
-    return rec.report()
+    return _report(
+        experiment,
+        0,
+        (
+            (f"a=cols{a.cols()} b=cols{b.cols()}", partial(probe, a, b))
+            for n in range(1, n_max + 1)
+            for a, b in itertools.product(enumerate_staircases(n), repeat=2)
+        ),
+    )
 
 
 def _duality_probe(a, b):

@@ -635,8 +635,10 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
     Hilbert scheme and LimitDoesNotExist is raised.
     """
     v1, v2 = int(v[0]), int(v[1])
-    n = staircase_of(ideal).cardinality
     gb = reduced_groebner_basis(ideal)
+    if gb.staircase is None:
+        raise NotZeroDimensional("ideal is not zero-dimensional")
+    n = gb.staircase.cardinality
     if v1 <= 0 and v2 <= 0:
         # the v-minimal parts of the reduced weight basis are the reduced
         # lex basis of the limit; equal leads make the lex basis that basis

@@ -3,7 +3,7 @@
 Two orders drive everything here: one merges rows (horizontal collisions),
 the other breaks columns into vertical pieces.  They are exchanged by
 transposition, which the test suite exploits as a cross-check; the two
-implementations below deliberately share no code.
+implementations below deliberately share no search code.
 """
 
 from __future__ import annotations
@@ -43,19 +43,10 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
     whose sums form the row multiset of b.  Staircases of different
     cardinality are never comparable.
     """
-    if a.cardinality != b.cardinality:
-        return False
-    ra, rb = a.rows(), b.rows()
     # the k widest rows of a lie in at most k blocks, so the k widest rows
     # of b hold at least their sum: merging can only raise the row partial
-    # sums.  zip suffices, as equal totals expose a longer rb at ra's end
-    sa = sb = 0
-    for wa, wb in zip(ra, rb):
-        sa += wa
-        sb += wb
-        if sb < sa:
-            return False
-    return _fill_blocks(ra, rb)
+    # sums, which by conjugation is dominance(a, b)
+    return dominance(a, b) and _fill_blocks(a.rows(), b.rows())
 
 
 def et_row_partition(a: StandardSet, b: StandardSet):
@@ -122,19 +113,9 @@ def _height_counts(cols):
 def leq_punc(a: StandardSet, b: StandardSet) -> bool:
     """True iff each column of a breaks into vertical pieces such that the
     multiset of all pieces equals the columns of b."""
-    if a.cardinality != b.cardinality:
-        return False
-    ca, cb = a.cols(), b.cols()
     # the k tallest columns of b are pieces of at most k columns of a, so
-    # breaking can only lower the column partial sums.  zip suffices, as
-    # equal totals expose a longer ca at cb's end
-    sa = sb = 0
-    for ha, hb in zip(ca, cb):
-        sa += ha
-        sb += hb
-        if sa < sb:
-            return False
-    return _break_columns(ca, _height_counts(cb))
+    # breaking can only lower the column partial sums: dominance(a, b)
+    return dominance(a, b) and _break_columns(a.cols(), _height_counts(b.cols()))
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +126,11 @@ def dominance(a: StandardSet, b: StandardSet) -> bool:
     """Column partial sums of a stay >= those of b (equal cardinality)."""
     if a.cardinality != b.cardinality:
         return False
-    ca, cb = a.cols(), b.cols()
+    # zip suffices, as equal totals expose a longer ca at cb's end
     sa = sb = 0
-    for j in range(max(len(ca), len(cb))):
-        sa += ca[j] if j < len(ca) else 0
-        sb += cb[j] if j < len(cb) else 0
+    for ha, hb in zip(a.cols(), b.cols()):
+        sa += ha
+        sb += hb
         if sa < sb:
             return False
     return True
@@ -446,54 +427,31 @@ def _factor_key(s: StandardSet):
 
 
 @lru_cache(maxsize=None)
-def _line_decompositions(cols):
-    # every way to write the staircase as a direction-2 sum over lines of
-    # direction-1 sums of nonempty factors; a decomposition is a tuple of
-    # lines, each line a tuple of factors, everything canonically sorted
-    s = StandardSet(cols)
-    out = set()
-    for row_partition in _multiset_partitions(s.rows()):
-        per_block = []
-        for block in row_partition:
-            line_shape = StandardSet.from_rows(block)
-            choices = [
-                tuple(
-                    sorted(
-                        (StandardSet(g) for g in grouping),
-                        key=_factor_key,
-                        reverse=True,
-                    )
-                )
-                for grouping in _multiset_partitions(line_shape.cols())
-            ]
-            per_block.append(choices)
-        for combo in itertools.product(*per_block):
-            lines = tuple(
-                sorted(
-                    combo,
-                    key=lambda ln: (len(ln),) + tuple(
-                        _factor_key(f) for f in ln
-                    ),
-                    reverse=True,
-                )
-            )
-            out.add(lines)
-    return tuple(sorted(
-        out,
-        key=lambda dec: tuple(
-            (len(ln),) + tuple(_factor_key(f) for f in ln) for ln in dec
-        ),
-        reverse=True,
-    ))
+def _line_key(line):
+    return (len(line),) + tuple(_factor_key(f) for f in line)
 
 
 @lru_cache(maxsize=None)
 def _signed_decompositions(cols):
-    # the line decompositions in order, each with its signature (the sorted
-    # factor cardinalities), and the same grouped by signature in order
+    # every way to write the staircase as a direction-2 sum over lines of
+    # direction-1 sums of nonempty factors; a decomposition is a tuple of
+    # lines, each line a tuple of factors, everything canonically sorted.
+    # Returns the decompositions in order, each with its signature (the
+    # sorted factor cardinalities), and the same grouped by signature
+    out = set()
+    for row_partition in _multiset_partitions(StandardSet(cols).rows()):
+        per_block = [
+            [
+                tuple(sorted(map(StandardSet, g), key=_factor_key, reverse=True))
+                for g in _multiset_partitions(StandardSet.from_rows(block).cols())
+            ]
+            for block in row_partition
+        ]
+        for combo in itertools.product(*per_block):
+            out.add(tuple(sorted(combo, key=_line_key, reverse=True)))
     signed = tuple(
         (tuple(sorted(f.cardinality for line in dec for f in line)), dec)
-        for dec in _line_decompositions(cols)
+        for dec in sorted(out, key=lambda dec: tuple(map(_line_key, dec)), reverse=True)
     )
     grouped = {}
     for signature, dec in signed:
@@ -534,11 +492,6 @@ def _perfect_match(left, right):
     if not extend(0, 0):
         return None
     return match
-
-
-@lru_cache(maxsize=None)
-def _line_key(line):
-    return (len(line),) + tuple(_factor_key(f) for f in line)
 
 
 def _match_lines(lines_a, lines_b):

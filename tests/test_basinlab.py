@@ -273,6 +273,28 @@ class TestSuitesSmall:
         with pytest.raises(ValueError):
             run_et_closure(StandardSet([3, 1]), StandardSet([4]))
 
+    def test_et_closure_persistent_collisions(self, monkeypatch):
+        # every draw repeats its abscissas, so merged rows always collide
+        monkeypatch.setattr(
+            basinlab,
+            "_distinct_fractions",
+            lambda rng, count: [Fraction(k) for k in range(count)],
+        )
+        message = "SamplingError: persistent point collisions while merging"
+        report = run_et_closure(StandardSet([2]), StandardSet([1, 1]))
+        assert (report.cases_run, report.cases_passed) == (1, 0)
+        assert report.failures == (("cols(2)->cols(1,1)", "a sample", message),)
+        covers = run_et_closure_covers(3)
+        assert (covers.cases_run, covers.cases_passed) == (3, 0)
+        assert covers.failures == tuple(
+            (case, "a sample", message)
+            for case in (
+                "n=2 cols(2)->cols(1,1)",
+                "n=3 cols(3)->cols(2,1)",
+                "n=3 cols(2,1)->cols(1,1,1)",
+            )
+        )
+
     def test_et_closure_covers(self):
         report = run_et_closure_covers(4, seed=0)
         # cover counts: n=2 has 1, n=3 has 2, n=4 has 5

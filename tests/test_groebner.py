@@ -604,6 +604,29 @@ class TestTorusLimit:
             limit = torus_limit(ideal, (-2, -1))
             assert staircase_of(limit).cardinality == 3
 
+    @pytest.fixture
+    def buchberger_runs(self, monkeypatch):
+        runs = []
+        buchberger = groebner._buchberger
+
+        def counted(gens):
+            runs.append(gens)
+            return buchberger(gens)
+
+        monkeypatch.setattr(groebner, "_buchberger", counted)
+        return runs
+
+    @pytest.mark.parametrize("v", [(-1, -1), (-3, -1), (1, 3)])
+    def test_one_buchberger_run_per_parsed_ideal(self, buchberger_runs, v):
+        limit = torus_limit(parse_ideal_text("x1 + x2^2\nx2^3\n"), v)
+        assert len(buchberger_runs) == 1
+        assert staircase_of(limit).cardinality == 3
+
+    def test_one_buchberger_run_when_not_zero_dimensional(self, buchberger_runs):
+        with pytest.raises(NotZeroDimensional, match="^ideal is not zero-dimensional$"):
+            torus_limit(parse_ideal_text("x1*x2\nx2^2\n"), (-1, -1))
+        assert len(buchberger_runs) == 1
+
 
 class TestIdealText:
     def test_round_trip(self):

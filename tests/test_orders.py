@@ -502,6 +502,29 @@ class TestFastRejections:
         assert (found, cut) == (235, 246)
 
 
+def padded_partial_sums_dominate(ca, cb):
+    # dominance straight from its definition: equal totals, and every
+    # column partial sum of a, zero padded to a common length, >= b's
+    length = max(len(ca), len(cb))
+    ca = list(ca) + [0] * (length - len(ca))
+    cb = list(cb) + [0] * (length - len(cb))
+    if sum(ca) != sum(cb):
+        return False
+    return all(sum(ca[:k]) >= sum(cb[:k]) for k in range(1, length + 1))
+
+
+class TestDominanceOracle:
+    def test_every_pair_up_to_12(self):
+        sts = [s for n in range(13) for s in enumerate_staircases(n)]
+        unequal_length = unequal_size = 0
+        for a, b in itertools.product(sts, sts):
+            expected = padded_partial_sums_dominate(a.cols(), b.cols())
+            assert dominance(a, b) == expected, (a.cols(), b.cols())
+            unequal_length += a.cardinality == b.cardinality and a.width != b.width
+            unequal_size += a.cardinality != b.cardinality
+        assert unequal_length > 0 and unequal_size > 0
+
+
 class TestScalingBudgets:
     # the exhaustive checks at the sizes the benchmark runs; the answers
     # are pinned so a fast wrong search cannot pass
