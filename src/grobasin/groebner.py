@@ -606,11 +606,15 @@ def supported_at_origin(gb: ReducedGroebnerBasis) -> bool:
 
     With colength n that holds iff x1^n and x2^n lie in the ideal (its
     local algebra at the origin then has length n, so (x1, x2)^n is in
-    it): 2n sparse mat-vecs on the quotient."""
+    it): 2n sparse mat-vecs on a carried quotient, or else two normal
+    forms, as building the quotient takes one per border monomial."""
     if gb.staircase is None:
         raise NotZeroDimensional("ideal is not zero-dimensional")
-    quotient, n = _quotient(gb), gb.staircase.cardinality
-    return _nilpotent(quotient, 1, n) and _nilpotent(quotient, 2, n)
+    n = gb.staircase.cardinality
+    if gb.quotient is None:
+        data = _basis_data(gb.elements)
+        return not any(_nf_terms({e: Fraction(1)}, data) for e in ((n, 0), (0, n)))
+    return _nilpotent(gb.quotient, 1, n) and _nilpotent(gb.quotient, 2, n)
 
 
 def supported_on_line(gb: ReducedGroebnerBasis, level) -> bool:

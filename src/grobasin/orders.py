@@ -392,33 +392,22 @@ def check_certificate(
     return True
 
 
-def _set_partitions(items):
-    # all partitions of a list of indices into nonempty blocks
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
-        yield [[first]] + part
-
-
 @lru_cache(maxsize=None)
 def _multiset_partitions(values):
     # values: desc tuple; returns canonical partitions, each a desc-sorted
-    # tuple of desc-sorted blocks
-    out = set()
-    idx = list(range(len(values)))
-    for part in _set_partitions(idx):
-        blocks = tuple(
-            sorted(
-                (tuple(sorted((values[i] for i in blk), reverse=True))
-                 for blk in part),
-                reverse=True,
-            )
+    # tuple of desc-sorted blocks.  The largest block holds values[0] and
+    # one distinct sub-multiset of the rest; the partitions of what is left
+    # follow it when their own largest block is no larger
+    if not values:
+        return ((),)
+    out = []
+    counts = _height_counts(values[1:])
+    for takes in itertools.product(*(range(c + 1) for _, c in counts)):
+        head = sum(((v,) * t for (v, _), t in zip(counts, takes)), values[:1])
+        left = sum(((v,) * (c - t) for (v, c), t in zip(counts, takes)), ())
+        out.extend(
+            (head,) + part for part in _multiset_partitions(left) if part[:1] <= (head,)
         )
-        out.add(blocks)
     return tuple(sorted(out, reverse=True))
 
 
@@ -432,6 +421,16 @@ def _line_key(line):
 
 
 @lru_cache(maxsize=None)
+def _block_lines(block):
+    # the lines one block of rows can become: per partition of its columns,
+    # the factors, canonically sorted
+    return tuple(
+        tuple(sorted(map(StandardSet, g), key=_factor_key, reverse=True))
+        for g in _multiset_partitions(StandardSet.from_rows(block).cols())
+    )
+
+
+@lru_cache(maxsize=None)
 def _signed_decompositions(cols):
     # every way to write the staircase as a direction-2 sum over lines of
     # direction-1 sums of nonempty factors; a decomposition is a tuple of
@@ -440,14 +439,7 @@ def _signed_decompositions(cols):
     # sorted factor cardinalities), and the same grouped by signature
     out = set()
     for row_partition in _multiset_partitions(StandardSet(cols).rows()):
-        per_block = [
-            [
-                tuple(sorted(map(StandardSet, g), key=_factor_key, reverse=True))
-                for g in _multiset_partitions(StandardSet.from_rows(block).cols())
-            ]
-            for block in row_partition
-        ]
-        for combo in itertools.product(*per_block):
+        for combo in itertools.product(*map(_block_lines, row_partition)):
             out.add(tuple(sorted(combo, key=_line_key, reverse=True)))
     signed = tuple(
         (tuple(sorted(f.cardinality for line in dec for f in line)), dec)

@@ -293,6 +293,18 @@ def test_criteria_21_to_24_exhaustive_suites(num, suite, n_max):
 
 @pytest.mark.parametrize(
     "num,suite",
+    [(27, "duality"), (28, "refinement")],
+    ids=lambda p: p if isinstance(p, str) else None,
+)
+def test_criteria_27_28_exhaustive_suites_at_n16(num, suite):
+    runner = SUITES[suite][0]
+    with _within(10, num, f"{suite} at n = 16 reproduces its golden report"):
+        report = runner(100, 0, 16)
+        assert report.to_json() + "\n" == _golden(f"verify_n16_{suite}.json")
+
+
+@pytest.mark.parametrize(
+    "num,suite",
     [(25, "punc"), (26, "calibration")],
     ids=lambda p: p if isinstance(p, str) else None,
 )

@@ -680,6 +680,10 @@ class TestSupportedAtOrigin:
             gb = reduced_groebner_basis(ideal)
             expected = _holds_degree_n_monomials(gb)
             assert supported_at_origin(gb) == expected, ideal.generators
+            # the same basis without a quotient takes two normal forms
+            bare = ReducedGroebnerBasis(gb.elements, gb.staircase)
+            assert supported_at_origin(bare) == expected, ideal.generators
+            assert bare.quotient is None
             seen[expected] += 1
         assert min(seen[True], seen[False]) >= 25, seen
 
@@ -690,6 +694,21 @@ class TestSupportedAtOrigin:
         )
         with pytest.raises(NotZeroDimensional):
             supported_at_origin(reduced_groebner_basis(Ideal((P("x1"),))))
+
+    def test_parsed_basis_is_checked_without_its_quotient(self, monkeypatch):
+        # a basis that carries no quotient takes two normal forms, not one
+        # per border monomial (here 20001 of them)
+        def refused(gb):
+            raise AssertionError("the quotient was built")
+
+        monkeypatch.setattr(groebner, "_quotient", refused)
+        ideal = Ideal((P("x1^20000 - 1"), P("x2")))
+        with pytest.raises(
+            LimitDoesNotExist,
+            match="^limit does not exist in the Hilbert scheme: "
+            "ideal is not supported at the origin$",
+        ):
+            torus_limit(ideal, (1, 1))
 
 
 class TestScalingBudgets:

@@ -1,15 +1,18 @@
 import itertools
 import time
+from functools import lru_cache
 
 import pytest
 
 from grobasin.orders import (
     IncidenceCertificate,
     SplitQuadruple,
+    _block_lines,
     _break_columns,
     _build_certificate,
     _fill_blocks,
     _match_lines,
+    _multiset_partitions,
     _signed_decompositions,
     build_poset,
     check_certificate,
@@ -502,6 +505,87 @@ class TestFastRejections:
         assert (found, cut) == (235, 246)
 
 
+@lru_cache(maxsize=None)
+def brute_multiset_partitions(values):
+    # every set partition of the indices, each block and then the blocks
+    # sorted descending, duplicates dropped: B(k) partitions for k values
+    canonical = {
+        tuple(
+            sorted(
+                (tuple(sorted((values[i] for i in blk), reverse=True)) for blk in part),
+                reverse=True,
+            )
+        )
+        for part in index_partitions(len(values))
+    }
+    return tuple(sorted(canonical, reverse=True))
+
+
+def brute_line_key(line):
+    return (len(line),) + tuple((f.cardinality,) + f.cols() for f in line)
+
+
+def brute_signed_decompositions(cols):
+    # every row partition, and per block every column partition of the
+    # staircase its rows make, each rebuilt for every row partition
+    decs = set()
+    for row_partition in brute_multiset_partitions(StandardSet(cols).rows()):
+        per_block = [
+            [
+                tuple(
+                    sorted(
+                        map(StandardSet, g),
+                        key=lambda f: (f.cardinality,) + f.cols(),
+                        reverse=True,
+                    )
+                )
+                for g in brute_multiset_partitions(StandardSet.from_rows(block).cols())
+            ]
+            for block in row_partition
+        ]
+        for combo in itertools.product(*per_block):
+            decs.add(tuple(sorted(combo, key=brute_line_key, reverse=True)))
+    ordered = sorted(decs, key=lambda dec: tuple(map(brute_line_key, dec)), reverse=True)
+    signed = tuple(
+        (tuple(sorted(f.cardinality for line in dec for f in line)), dec) for dec in ordered
+    )
+    grouped = {}
+    for signature, dec in signed:
+        grouped.setdefault(signature, []).append(dec)
+    return signed, {sig: tuple(group) for sig, group in grouped.items()}
+
+
+class TestDecompositions:
+    # partitions are built from distinct sub-multisets, never from set
+    # partitions of the indices; the answers must be those of the latter
+
+    def test_multiset_partitions_against_set_partitions(self):
+        checked = set()
+        for n in range(10):
+            for s in enumerate_staircases(n):
+                for values in (s.rows(), s.cols()):
+                    assert _multiset_partitions(values) == brute_multiset_partitions(values)
+                    checked.add(values)
+        assert len(checked) == 97 and (1,) * 9 in checked
+
+    def test_signed_decompositions_against_rebuilt_lines(self):
+        for n in range(9):
+            for s in enumerate_staircases(n):
+                assert _signed_decompositions(s.cols()) == brute_signed_decompositions(s.cols())
+
+    def test_many_equal_values_within_budget(self):
+        # B(14) is about 1.9 * 10^8 set partitions; p(14) = 135
+        _multiset_partitions.cache_clear()
+        start = time.perf_counter()
+        parts = _multiset_partitions((1,) * 14)
+        elapsed = time.perf_counter() - start
+        assert len(parts) == 135
+        assert sorted(parts) == sorted(
+            tuple((1,) * k for k in p.cols()) for p in enumerate_staircases(14)
+        )
+        assert elapsed < 2, f"took {elapsed:.1f}s, budget 2s"
+
+
 def padded_partial_sums_dominate(ca, cb):
     # dominance straight from its definition: equal totals, and every
     # column partial sum of a, zero padded to a common length, >= b's
@@ -541,6 +625,22 @@ class TestScalingBudgets:
         elapsed = time.perf_counter() - start
         assert len(sts) ** 2 == 484 and found == 235
         assert elapsed < 4, f"took {elapsed:.1f}s, budget 4s"
+
+    def test_all_certificates_at_n10_within_budget(self):
+        # from cold caches: every decomposition at n = 10 is built here
+        for cache in (_multiset_partitions, _block_lines, _signed_decompositions):
+            cache.cache_clear()
+        sts = enumerate_staircases(10)
+        start = time.perf_counter()
+        found = 0
+        for a, b in itertools.product(sts, sts):
+            cert = find_certificate(a, b, bound=10)
+            if cert is not None:
+                found += 1
+                assert check_certificate(cert, a, b)
+        elapsed = time.perf_counter() - start
+        assert len(sts) ** 2 == 1764 and found == 805
+        assert elapsed < 6, f"took {elapsed:.1f}s, budget 6s"
 
     def test_posets_at_n14_within_budget(self):
         start = time.perf_counter()

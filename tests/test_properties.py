@@ -4,7 +4,9 @@ vanishing_ideal draws points with numerators and denominators up to 10^6
 and must return the monic, reduced basis of the points with the
 Cerlienco-Mureddu staircase; torus_limit must keep the colength of sampled
 ideals supported at the origin, and return a v-homogeneous basis, at the
-calibration weight and at the weights of the punctual branch.
+calibration weight and at the weights of the punctual branch.  Polynomial
+must satisfy the ring axioms, and format_polynomial must read back through
+parse_polynomial.
 """
 
 from collections import Counter
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.groebner import reduced_groebner_basis, staircase_of, torus_limit, vanishing_ideal
+from grobasin.poly import ONE, Polynomial, format_polynomial, parse_polynomial
 from grobasin.staircase import enumerate_staircases
 
 BOUND = 10**6
@@ -80,3 +83,37 @@ def test_torus_limit_of_origin_samples_keeps_colength_and_is_homogeneous(target,
         # the limit is fixed by the flow, so its reduced basis is v-homogeneous
         for g in limit.generators:
             assert len({e[0] * v[0] + e[1] * v[1] for e, _ in g.terms}) == 1
+
+
+# a few terms of low degree with small coefficients keep products cheap
+polynomials = st.builds(
+    Polynomial,
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),
+        max_size=5,
+    ),
+)
+
+
+@PROPERTY
+@given(polynomials, polynomials, polynomials)
+def test_polynomial_ring_axioms(p, q, r):
+    zero = Polynomial.zero()
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+    assert p + zero == p and p * zero == zero
+    assert p * ONE == p
+    assert p - p == zero and p + (-p) == zero
+
+
+@PROPERTY
+@given(polynomials)
+def test_format_parse_round_trip(p):
+    text = format_polynomial(p)
+    assert parse_polynomial(text) == p
+    assert format_polynomial(parse_polynomial(text)) == text
