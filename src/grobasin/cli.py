@@ -58,11 +58,23 @@ def _read_pair(args):
         return None
 
 
+# the order searches recurse once or twice per row or column, so a larger
+# staircase would end in a RecursionError; the bound leaves stack to spare
+MAX_CHECK_BOXES = 200
+
+
 def _cmd_check(args) -> int:
     leq = incidence_filter if args.order == "filter" else order_function(args.order)
     pair = _read_pair(args)
     if pair is None:
         return 2
+    for s in pair:
+        if s.cardinality > MAX_CHECK_BOXES:
+            print(
+                f"error: staircase of {s.cardinality} boxes is above {MAX_CHECK_BOXES}",
+                file=sys.stderr,
+            )
+            return 2
     held = leq(*pair)
     print("true" if held else "false")
     return 0 if held else 1

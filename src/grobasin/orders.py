@@ -153,8 +153,15 @@ def lex_cols_geq(a: StandardSet, b: StandardSet) -> bool:
 
 
 def incidence_filter(a: StandardSet, b: StandardSet) -> bool:
-    """Necessary condition for the basin of a to touch the basin of b."""
-    return dominance(a, b) and lex_rows_leq(a, b) and lex_cols_geq(a, b)
+    """Necessary condition for the basin of a to touch the basin of b.
+
+    This is dominance(a, b): dominance implies both lex filters.  At the
+    first column where a and b differ the partial sums agree before it, so
+    a's column is the taller one, and lex_cols_geq holds.  Conjugation
+    reverses dominance, so the rows of b dominate those of a and, by the
+    same argument, lex_rows_leq holds.
+    """
+    return dominance(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +207,12 @@ def figure_alg(a: StandardSet, b: StandardSet):
         if (rem, cp) in seen:
             return
         seen.add((rem, cp))
-        if not cp:
-            results.add(SplitQuadruple(cols_a, (), cols_b, ()))
-            return
-        shortest = cp[0]
-        moves = []
-        for orig, left in set(rem):
-            if left < shortest:
-                continue
-            for d in set(cp):
-                if d <= left:
-                    moves.append((orig, left, d))
+        # every open target d is >= the shortest one, so d <= left is the
+        # whole carving rule
+        targets = set(cp)
+        moves = [
+            (orig, left, d) for orig, left in set(rem) for d in targets if d <= left
+        ]
         if not moves:
             consumed = list(cols_b)
             for d in cp:
@@ -411,11 +413,12 @@ def _multiset_partitions(values):
     return tuple(sorted(out, reverse=True))
 
 
-def _factor_key(s: StandardSet):
-    return (s.cardinality,) + s.cols()
+# in the search a factor is its column tuple and a line a tuple of factors,
+# sorted once when the cached decompositions are built
+def _factor_key(f):
+    return (sum(f),) + f
 
 
-@lru_cache(maxsize=None)
 def _line_key(line):
     return (len(line),) + tuple(_factor_key(f) for f in line)
 
@@ -425,7 +428,7 @@ def _block_lines(block):
     # the lines one block of rows can become: per partition of its columns,
     # the factors, canonically sorted
     return tuple(
-        tuple(sorted(map(StandardSet, g), key=_factor_key, reverse=True))
+        tuple(sorted(g, key=_factor_key, reverse=True))
         for g in _multiset_partitions(StandardSet.from_rows(block).cols())
     )
 
@@ -442,7 +445,7 @@ def _signed_decompositions(cols):
         for combo in itertools.product(*map(_block_lines, row_partition)):
             out.add(tuple(sorted(combo, key=_line_key, reverse=True)))
     signed = tuple(
-        (tuple(sorted(f.cardinality for line in dec for f in line)), dec)
+        (tuple(sorted(sum(f) for line in dec for f in line)), dec)
         for dec in sorted(out, key=lambda dec: tuple(map(_line_key, dec)), reverse=True)
     )
     grouped = {}
@@ -462,7 +465,7 @@ def _perfect_match(left, right):
     if k != len(right):
         return None
     adj = [
-        [j for j in range(k) if _leq_punc_cols(left[i].cols(), right[j].cols())]
+        [j for j in range(k) if _leq_punc_cols(left[i], right[j])]
         for i in range(k)
     ]
     order = sorted(range(k), key=lambda i: len(adj[i]))
@@ -487,38 +490,32 @@ def _perfect_match(left, right):
 
 
 def _match_lines(lines_a, lines_b):
-    # group the lines of a onto the lines of b; returns per b-line the
-    # chosen a-line indices and a factor bijection, or None
-    slots = sorted(range(len(lines_b)), key=lambda j: _line_key(lines_b[j]),
-                   reverse=True)
+    # group the lines of a onto the lines of b, both in canonical order;
+    # returns per b-line the chosen a-line indices and a factor bijection,
+    # or None.  remaining is an ascending tuple of a-line indices, so equal
+    # a-lines are adjacent in it and only the first of a run is tried
 
-    def assign(pos, remaining):
-        if pos == len(slots):
+    def assign(j, remaining):
+        if j == len(lines_b):
             return [] if not remaining else None
-        j = slots[pos]
         need = len(lines_b[j])
-        rem = sorted(remaining, key=lambda i: _line_key(lines_a[i]),
-                     reverse=True)
 
         def subsets(start, count, acc):
             if count == need:
                 yield list(acc)
                 return
-            if count > need:
-                return
             prev = None
-            for t in range(start, len(rem)):
-                i = rem[t]
-                key = _line_key(lines_a[i])
-                if key == prev:
+            for t in range(start, len(remaining)):
+                line = lines_a[remaining[t]]
+                if line == prev:
                     continue
-                room = count + len(lines_a[i])
+                room = count + len(line)
                 if room > need:
                     continue
-                acc.append(i)
+                acc.append(remaining[t])
                 yield from subsets(t + 1, room, acc)
                 acc.pop()
-                prev = key
+                prev = line
 
         for chosen in subsets(0, 0, []):
             factors = []
@@ -532,7 +529,7 @@ def _match_lines(lines_a, lines_b):
             )
             if bij is None:
                 continue
-            rest = assign(pos + 1, remaining - set(chosen))
+            rest = assign(j + 1, tuple(i for i in remaining if i not in chosen))
             if rest is not None:
                 pairing = [
                     (factors[t][0], factors[t][1], bij[t])
@@ -541,7 +538,7 @@ def _match_lines(lines_a, lines_b):
                 return [(j, chosen, pairing)] + rest
         return None
 
-    return assign(0, set(range(len(lines_a))))
+    return assign(0, tuple(range(len(lines_a))))
 
 
 def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
@@ -594,12 +591,12 @@ def _build_certificate(dec_a, dec_b, assignment):
     shape = StandardSet.from_rows(len(line) for line in dec_a)
     shape_p = StandardSet.from_rows(len(line) for line in dec_b)
     per_box = {
-        (j, i): f
+        (j, i): StandardSet(f)
         for i, line in enumerate(dec_a)
         for j, f in enumerate(line)
     }
     per_box_p = {
-        (j, i): f
+        (j, i): StandardSet(f)
         for i, line in enumerate(dec_b)
         for j, f in enumerate(line)
     }

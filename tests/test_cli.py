@@ -158,6 +158,24 @@ class TestCheck:
         assert code == 1
         assert out.strip() == "false"
 
+    @pytest.mark.parametrize(
+        "order, cols", [("et", [201]), ("punc", [1] * 201)]
+    )
+    def test_above_box_bound_is_usage_error(self, capsys, order, cols):
+        # one row or column per box of recursion would overflow the stack
+        tall = json.dumps({"columns": cols})
+        code, out, err = run(capsys, ["check", order, tall, tall])
+        assert code == 2 and out == ""
+        assert err == "error: staircase of 201 boxes is above 200\n"
+
+    @pytest.mark.parametrize(
+        "order, cols", [("et", [200]), ("punc", [1] * 200)]
+    )
+    def test_at_box_bound_answers(self, capsys, order, cols):
+        tall = json.dumps({"columns": cols})
+        code, out, err = run(capsys, ["check", order, tall, tall])
+        assert (code, out, err) == (0, "true\n", "")
+
 
 class TestSum:
     def test_direction_one(self, capsys):

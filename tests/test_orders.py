@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from functools import lru_cache
@@ -155,6 +156,18 @@ class TestRefinementAndDuality:
             for a, b in itertools.product(sts, sts):
                 if leq_et(a, b) or leq_punc(a, b):
                     assert incidence_filter(a, b)
+
+    def test_filter_is_dominance_up_to_16(self):
+        # the lex filters follow from dominance, so the old conjunction
+        # and the filter agree on every same-size pair
+        pairs = 0
+        for n in range(17):
+            sts = enumerate_staircases(n)
+            for a, b in itertools.product(sts, sts):
+                old = dominance(a, b) and lex_rows_leq(a, b) and lex_cols_geq(a, b)
+                assert incidence_filter(a, b) == old, (a.cols(), b.cols())
+                pairs += 1
+        assert pairs == 125411
 
     def test_dominance_incomparable_pair(self):
         a = StandardSet.from_rows([4, 1, 1])
@@ -489,6 +502,18 @@ class TestFastRejections:
                 )
                 assert leq_punc(a, b) == _break_columns(a.cols(), counts)
 
+    def test_certificates_up_to_10_unchanged(self):
+        # which certificate the search returns, pinned for every pair
+        digest = hashlib.sha256()
+        found = 0
+        for n in range(11):
+            sts = enumerate_staircases(n)
+            for a, b in itertools.product(sts, sts):
+                cert = find_certificate(a, b, bound=10)
+                found += cert is not None
+                digest.update(repr(cert).encode())
+        assert (found, digest.hexdigest()[:16]) == (1698, "e904514a49192401")
+
     def test_dominance_cut_against_uncut_search(self):
         for n in range(1, 9):
             sts = enumerate_staircases(n)
@@ -522,7 +547,8 @@ def brute_multiset_partitions(values):
 
 
 def brute_line_key(line):
-    return (len(line),) + tuple((f.cardinality,) + f.cols() for f in line)
+    # factors are column tuples, keyed by (cardinality, columns)
+    return (len(line),) + tuple((sum(f),) + f for f in line)
 
 
 def brute_signed_decompositions(cols):
@@ -532,13 +558,7 @@ def brute_signed_decompositions(cols):
     for row_partition in brute_multiset_partitions(StandardSet(cols).rows()):
         per_block = [
             [
-                tuple(
-                    sorted(
-                        map(StandardSet, g),
-                        key=lambda f: (f.cardinality,) + f.cols(),
-                        reverse=True,
-                    )
-                )
+                tuple(sorted(g, key=lambda f: (sum(f),) + f, reverse=True))
                 for g in brute_multiset_partitions(StandardSet.from_rows(block).cols())
             ]
             for block in row_partition
@@ -547,7 +567,7 @@ def brute_signed_decompositions(cols):
             decs.add(tuple(sorted(combo, key=brute_line_key, reverse=True)))
     ordered = sorted(decs, key=lambda dec: tuple(map(brute_line_key, dec)), reverse=True)
     signed = tuple(
-        (tuple(sorted(f.cardinality for line in dec for f in line)), dec) for dec in ordered
+        (tuple(sorted(sum(f) for line in dec for f in line)), dec) for dec in ordered
     )
     grouped = {}
     for signature, dec in signed:
