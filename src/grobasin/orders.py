@@ -426,11 +426,12 @@ def _line_key(line):
 @lru_cache(maxsize=None)
 def _block_lines(block):
     # the lines one block of rows can become: per partition of its columns,
-    # the factors, canonically sorted
-    return tuple(
+    # the factors, canonically sorted, each line paired with its _line_key
+    lines = (
         tuple(sorted(g, key=_factor_key, reverse=True))
         for g in _multiset_partitions(StandardSet.from_rows(block).cols())
     )
+    return tuple((_line_key(line), line) for line in lines)
 
 
 @lru_cache(maxsize=None)
@@ -439,14 +440,15 @@ def _signed_decompositions(cols):
     # direction-1 sums of nonempty factors; a decomposition is a tuple of
     # lines, each line a tuple of factors, everything canonically sorted.
     # Returns the decompositions in order, each with its signature (the
-    # sorted factor cardinalities), and the same grouped by signature
+    # sorted factor cardinalities), and the same grouped by signature.
+    # _line_key is injective, so (key, line) pairs sort as their keys
     out = set()
     for row_partition in _multiset_partitions(StandardSet(cols).rows()):
         for combo in itertools.product(*map(_block_lines, row_partition)):
-            out.add(tuple(sorted(combo, key=_line_key, reverse=True)))
+            out.add(tuple(sorted(combo, reverse=True)))
+    decs = (tuple(line for _, line in keyed) for keyed in sorted(out, reverse=True))
     signed = tuple(
-        (tuple(sorted(sum(f) for line in dec for f in line)), dec)
-        for dec in sorted(out, key=lambda dec: tuple(map(_line_key, dec)), reverse=True)
+        (tuple(sorted(sum(f) for line in dec for f in line)), dec) for dec in decs
     )
     grouped = {}
     for signature, dec in signed:
@@ -520,21 +522,13 @@ def _match_lines(lines_a, lines_b):
         for chosen in subsets(0, 0, []):
             factors = []
             for i in chosen:
-                factors.extend(
-                    (i, pos_in_line, f)
-                    for pos_in_line, f in enumerate(lines_a[i])
-                )
-            bij = _perfect_match(
-                [f for (_, _, f) in factors], list(lines_b[j])
-            )
+                factors.extend((i, pos, f) for pos, f in enumerate(lines_a[i]))
+            bij = _perfect_match([f for (_, _, f) in factors], list(lines_b[j]))
             if bij is None:
                 continue
             rest = assign(j + 1, tuple(i for i in remaining if i not in chosen))
             if rest is not None:
-                pairing = [
-                    (factors[t][0], factors[t][1], bij[t])
-                    for t in range(len(factors))
-                ]
+                pairing = [(i, pos, bij[t]) for t, (i, pos, _) in enumerate(factors)]
                 return [(j, chosen, pairing)] + rest
         return None
 

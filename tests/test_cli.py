@@ -176,6 +176,14 @@ class TestCheck:
         code, out, err = run(capsys, ["check", order, tall, tall])
         assert (code, out, err) == (0, "true\n", "")
 
+    @pytest.mark.parametrize("order", ["dominance", "filter"])
+    def test_box_bound_spares_dominance(self, capsys, order):
+        # dominance and the filter do not recurse, so they take any size;
+        # 500 boxes overflow the stack in et and punc
+        tall = json.dumps({"columns": [500]})
+        code, out, err = run(capsys, ["check", order, tall, tall])
+        assert (code, out, err) == (0, "true\n", "")
+
 
 class TestSum:
     def test_direction_one(self, capsys):

@@ -467,6 +467,18 @@ class TestCertificates:
     def test_nonexample_reverse_has_no_certificate(self):
         assert find_certificate(NONEX_B, NONEX_A) is None
 
+    def test_certificates_up_to_10_unchanged(self):
+        # which certificate the search returns, pinned for every pair
+        digest = hashlib.sha256()
+        found = 0
+        for n in range(11):
+            sts = enumerate_staircases(n)
+            for a, b in itertools.product(sts, sts):
+                cert = find_certificate(a, b, bound=10)
+                found += cert is not None
+                digest.update(repr(cert).encode())
+        assert (found, digest.hexdigest()[:16]) == (1698, "e904514a49192401")
+
 
 def uncut_certificate(a, b):
     # find_certificate's search for a nonempty pair without its dominance
@@ -501,18 +513,6 @@ class TestFastRejections:
                     for h, run in itertools.groupby(b.cols())
                 )
                 assert leq_punc(a, b) == _break_columns(a.cols(), counts)
-
-    def test_certificates_up_to_10_unchanged(self):
-        # which certificate the search returns, pinned for every pair
-        digest = hashlib.sha256()
-        found = 0
-        for n in range(11):
-            sts = enumerate_staircases(n)
-            for a, b in itertools.product(sts, sts):
-                cert = find_certificate(a, b, bound=10)
-                found += cert is not None
-                digest.update(repr(cert).encode())
-        assert (found, digest.hexdigest()[:16]) == (1698, "e904514a49192401")
 
     def test_dominance_cut_against_uncut_search(self):
         for n in range(1, 9):
