@@ -232,7 +232,7 @@ def figure_alg(a: StandardSet, b: StandardSet):
             nxt.append((orig, left - d))
             ncp = list(cp)
             ncp.remove(d)
-            explore(tuple(sorted(nxt)), tuple(sorted(ncp)))
+            explore(tuple(sorted(nxt)), tuple(ncp))
 
     explore(
         tuple(sorted((h, h) for h in cols_a)),
@@ -461,15 +461,12 @@ def _leq_punc_cols(ca, cb):
     return leq_punc(StandardSet(ca), StandardSet(cb))
 
 
+@lru_cache(maxsize=None)
 def _perfect_match(left, right):
-    # bijection left -> right along _leq_punc_cols edges, or None
+    # bijection left -> right along _leq_punc_cols edges, as a tuple of
+    # right indices, or None; both are tuples of factors of one length
     k = len(left)
-    if k != len(right):
-        return None
-    adj = [
-        [j for j in range(k) if _leq_punc_cols(left[i], right[j])]
-        for i in range(k)
-    ]
+    adj = [[j for j in range(k) if _leq_punc_cols(f, right[j])] for f in left]
     order = sorted(range(k), key=lambda i: len(adj[i]))
     match = [None] * k
 
@@ -478,61 +475,52 @@ def _perfect_match(left, right):
             return True
         i = order[pos]
         for j in adj[i]:
-            if used & (1 << j):
-                continue
-            match[i] = j
-            if extend(pos + 1, used | (1 << j)):
-                return True
-        match[i] = None
+            if not used & (1 << j):
+                match[i] = j
+                if extend(pos + 1, used | (1 << j)):
+                    return True
         return False
 
-    if not extend(0, 0):
-        return None
-    return match
+    return tuple(match) if extend(0, 0) else None
 
 
 def _match_lines(lines_a, lines_b):
     # group the lines of a onto the lines of b, both in canonical order;
-    # returns per b-line the chosen a-line indices and a factor bijection,
-    # or None.  remaining is an ascending tuple of a-line indices, so equal
-    # a-lines are adjacent in it and only the first of a run is tried
+    # returns the box map {(pos, a-line): (bpos, b-line)}, or None.
+    # remaining is an ascending tuple of a-line indices, so equal a-lines
+    # are adjacent in it and only the first of a run is tried
+
+    def groups(remaining, need, start):
+        # ascending index tuples of remaining a-lines with need factors
+        if need == 0:
+            yield ()
+            return
+        prev = None
+        for t in range(start, len(remaining)):
+            line = lines_a[remaining[t]]
+            if line == prev or len(line) > need:
+                continue
+            for rest in groups(remaining, need - len(line), t + 1):
+                yield (remaining[t],) + rest
+            prev = line
 
     def assign(j, remaining):
+        # (box, (bpos, b-line)) pairs for b-lines j onwards, or None
         if j == len(lines_b):
-            return [] if not remaining else None
-        need = len(lines_b[j])
-
-        def subsets(start, count, acc):
-            if count == need:
-                yield list(acc)
-                return
-            prev = None
-            for t in range(start, len(remaining)):
-                line = lines_a[remaining[t]]
-                if line == prev:
-                    continue
-                room = count + len(line)
-                if room > need:
-                    continue
-                acc.append(remaining[t])
-                yield from subsets(t + 1, room, acc)
-                acc.pop()
-                prev = line
-
-        for chosen in subsets(0, 0, []):
-            factors = []
-            for i in chosen:
-                factors.extend((i, pos, f) for pos, f in enumerate(lines_a[i]))
-            bij = _perfect_match([f for (_, _, f) in factors], list(lines_b[j]))
+            return None if remaining else []
+        for chosen in groups(remaining, len(lines_b[j]), 0):
+            left = tuple(f for i in chosen for f in lines_a[i])
+            bij = _perfect_match(left, lines_b[j])
             if bij is None:
                 continue
             rest = assign(j + 1, tuple(i for i in remaining if i not in chosen))
             if rest is not None:
-                pairing = [(i, pos, bij[t]) for t, (i, pos, _) in enumerate(factors)]
-                return [(j, chosen, pairing)] + rest
+                boxes = [(pos, i) for i in chosen for pos in range(len(lines_a[i]))]
+                return [(box, (bpos, j)) for box, bpos in zip(boxes, bij)] + rest
         return None
 
-    return assign(0, tuple(range(len(lines_a))))
+    pairs = assign(0, tuple(range(len(lines_a))))
+    return None if pairs is None else dict(pairs)
 
 
 def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
@@ -573,31 +561,23 @@ def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
         for dec_b in by_signature.get(signature, ()):
             if len(dec_b) > len(dec_a):
                 continue
-            assignment = _match_lines(dec_a, dec_b)
-            if assignment is None:
-                continue
-            return _build_certificate(dec_a, dec_b, assignment)
+            box_map = _match_lines(dec_a, dec_b)
+            if box_map is not None:
+                return _build_certificate(dec_a, dec_b, box_map)
     return None
 
 
-def _build_certificate(dec_a, dec_b, assignment):
+def _shape_and_factors(dec):
     # decompositions are already sorted the way rows of the shapes are
-    shape = StandardSet.from_rows(len(line) for line in dec_a)
-    shape_p = StandardSet.from_rows(len(line) for line in dec_b)
-    per_box = {
-        (j, i): StandardSet(f)
-        for i, line in enumerate(dec_a)
-        for j, f in enumerate(line)
+    shape = StandardSet.from_rows(len(line) for line in dec)
+    factors = {
+        (j, i): StandardSet(f) for i, line in enumerate(dec) for j, f in enumerate(line)
     }
-    per_box_p = {
-        (j, i): StandardSet(f)
-        for i, line in enumerate(dec_b)
-        for j, f in enumerate(line)
-    }
-    box_map = {}
-    for j, _, pairing in assignment:
-        for (ai, apos, bpos) in pairing:
-            box_map[(apos, ai)] = (bpos, j)
+    return shape, factors
+
+
+def _build_certificate(dec_a, dec_b, box_map):
+    (shape, per_box), (shape_p, per_box_p) = map(_shape_and_factors, (dec_a, dec_b))
     return IncidenceCertificate(shape, shape_p, box_map, per_box, per_box_p)
 
 

@@ -2,8 +2,9 @@
 
 sympy's lex and grlex Groebner bases over QQ are compared with
 reduced_groebner_basis, intersect_comaximal and torus_limit on seeded
-random ideals, and vanishing_ideal and the free sampler are checked
-against the closed form of the lex staircase of a point set.  The
+random ideals, and torus_limit against a saturation by t in sympy of
+the weight-scaled family.  vanishing_ideal and the free sampler are
+checked against the closed form of the lex staircase of a point set.  The
 quotient matrices behind substitute and the samplers are checked against
 Polynomial.compose plus Buchberger and for commuting; substitute is also
 checked against sympy's own substitution and lex basis.
@@ -246,6 +247,74 @@ def test_weight_limit_cases_exercise_the_walk():
             g.leading_under(lambda e: (e[0] + e[1], e))[0] != g.terms[0][0]
             for g in lex
         )
+
+
+def _saturation_start(kind, arg):
+    # four seeded distinct points, or an origin sample of the columns arg
+    if kind == "origin":
+        target = StandardSet.from_columns(arg)
+        return sample_basin_ideal(BasinSampleSpec(target, "origin", seed=sum(arg)))
+    rng = random.Random(f"saturation:{arg}")
+    points = set()
+    while len(points) < 4:
+        points.add((_small(rng), rng.randint(-2, 2)))
+    return vanishing_ideal(sorted(points))
+
+
+# nonpositive weights (the weight walk) on points; every sign on the origin
+_SATURATION_CASES = [
+    (("points", seed), v)
+    for seed in range(6)
+    for v in [(-1, -2), (-2, -1), (-3, -1), (0, -1), (-1, 0)]
+] + [
+    (("origin", cols), v)
+    for cols in [(2, 1), (3, 1), (2, 2), (3, 2, 1)]
+    for v in [(1, 1), (1, 3), (2, 1), (1, -1), (-1, 2), (-1, -1)]
+]
+
+
+def _weight(v, e):
+    return v[0] * e[0] + v[1] * e[1]
+
+
+@pytest.mark.parametrize("start,v", _SATURATION_CASES, ids=str)
+def test_torus_limit_matches_sympy_saturation(start, v):
+    # the flat limit from sympy alone: scale each term by t^<v,e> and clear
+    # the lowest power of t, saturate by t through 1 - s*t in a lex basis
+    # over (s, t, x1, x2), keep the elements free of s and set t = 0
+    sympy = pytest.importorskip("sympy")
+    s, t, x1, x2 = sympy.symbols("s t x1 x2")
+    ideal = _saturation_start(*start)
+    family = [1 - s * t]
+    for g in ideal.generators:
+        low = min(_weight(v, e) for e, _ in g.terms)
+        family.append(
+            sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * t ** (_weight(v, e) - low) * x1 ** e[0] * x2 ** e[1]
+                for e, c in g.terms
+            )
+        )
+    saturated = sympy.groebner(family, s, t, x1, x2, order="lex", domain="QQ")
+    fibre = [p.subs(t, 0) for p in saturated.exprs if not p.has(s)]
+    expected = _sympy_terms(_sympy_groebner([p for p in fibre if p != 0]))
+    limit = torus_limit(ideal, v)
+    assert {g.terms for g in limit.generators} == expected
+
+
+def test_saturation_cases_exercise_the_walk():
+    # at a nonpositive weight some lex lead is not the weight lead, so
+    # torus_limit walks instead of reusing the lex basis
+    walked = 0
+    for start, v in _SATURATION_CASES:
+        if max(v) > 0:
+            continue
+        lex = reduced_groebner_basis(_saturation_start(*start)).elements
+        walked += any(
+            g.leading_under(lambda e: (-_weight(v, e), e))[0] != g.terms[0][0]
+            for g in lex
+        )
+    assert walked > 0
 
 
 @pytest.mark.parametrize(

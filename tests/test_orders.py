@@ -11,9 +11,11 @@ from grobasin.orders import (
     _block_lines,
     _break_columns,
     _build_certificate,
+    _leq_punc_cols,
     _fill_blocks,
     _match_lines,
     _multiset_partitions,
+    _perfect_match,
     _signed_decompositions,
     build_poset,
     check_certificate,
@@ -606,6 +608,42 @@ class TestDecompositions:
         assert elapsed < 2, f"took {elapsed:.1f}s, budget 2s"
 
 
+class TestPerfectMatch:
+    def test_against_every_permutation(self):
+        # the lines of every decomposition at n <= 7 with at most 6 factors,
+        # grouped by signature (the only lines a certificate compares), and
+        # each left side also reversed, as groups of a-lines come unsorted
+        by_signature = {}
+        for n in range(1, 8):
+            for s in enumerate_staircases(n):
+                for _, dec in _signed_decompositions(s.cols())[0]:
+                    for line in dec:
+                        if len(line) <= 6:
+                            key = tuple(sorted(map(sum, line)))
+                            by_signature.setdefault(key, set()).add(line)
+        leq = lru_cache(maxsize=None)(
+            lambda f, g: brute_leq_punc(StandardSet(f), StandardSet(g))
+        )
+        found = missing = 0
+        for lines in by_signature.values():
+            for line, right in itertools.product(lines, lines):
+                for left in (line, line[::-1]):
+                    k = len(left)
+                    valid = {
+                        p
+                        for p in itertools.permutations(range(k))
+                        if all(leq(left[i], right[p[i]]) for i in range(k))
+                    }
+                    match = _perfect_match(left, right)
+                    if match is None:
+                        missing += 1
+                        assert not valid, (left, right)
+                    else:
+                        found += 1
+                        assert match in valid, (left, right, match)
+        assert found > 0 and missing > 0
+
+
 def padded_partial_sums_dominate(ca, cb):
     # dominance straight from its definition: equal totals, and every
     # column partial sum of a, zero padded to a common length, >= b's
@@ -661,6 +699,32 @@ class TestScalingBudgets:
         elapsed = time.perf_counter() - start
         assert len(sts) ** 2 == 1764 and found == 805
         assert elapsed < 6, f"took {elapsed:.1f}s, budget 6s"
+
+    def test_all_certificates_at_n12_within_budget(self):
+        # from cold caches, and which certificate the search returns pinned
+        # for every pair, as test_certificates_up_to_10_unchanged does
+        for cache in (
+            _multiset_partitions,
+            _block_lines,
+            _signed_decompositions,
+            _leq_punc_cols,
+            _perfect_match,
+        ):
+            cache.cache_clear()
+        sts = enumerate_staircases(12)
+        digest = hashlib.sha256()
+        start = time.perf_counter()
+        found = 0
+        for a, b in itertools.product(sts, sts):
+            cert = find_certificate(a, b, bound=12)
+            if cert is not None:
+                found += 1
+                assert check_certificate(cert, a, b)
+            digest.update(repr(cert).encode())
+        elapsed = time.perf_counter() - start
+        assert len(sts) ** 2 == 5929
+        assert (found, digest.hexdigest()[:16]) == (2574, "87a5b83df06f646c")
+        assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
 
     def test_posets_at_n14_within_budget(self):
         start = time.perf_counter()
