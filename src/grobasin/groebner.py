@@ -205,10 +205,7 @@ def _buchberger(gens):
         data.append((lt, lc, g.terms))
 
     for g in gens:
-        if not g.is_zero():
-            add(g)
-    if not basis:
-        raise ValueError("ideal needs at least one nonzero generator")
+        add(g)
     while heap:
         lcm, (i, j) = heapq.heappop(heap)
         pending.remove((i, j))
@@ -256,17 +253,6 @@ def _vector(coeffs):
     # denominator; this is already free of content
     den = lcm(*(c.denominator for c in coeffs.values()))
     return {i: c.numerator * (den // c.denominator) for i, c in coeffs.items() if c}, den
-
-
-def _sum(vectors):
-    # the sum of vectors (entries, den), over the lcm of their denominators
-    den = lcm(*(d for _, d in vectors))
-    out = {}
-    for entries, d in vectors:
-        scale = den // d
-        for i, c in entries.items():
-            out[i] = out.get(i, 0) + c * scale
-    return _reduced({i: c for i, c in out.items() if c}, den)
 
 
 def _matrix(columns):
@@ -446,12 +432,16 @@ def reduced_groebner_basis(ideal: Ideal) -> ReducedGroebnerBasis:
     return _as_basis(_buchberger(ideal.generators))
 
 
-def staircase_of(ideal: Ideal) -> StandardSet:
-    """Staircase under the lex leading terms; requires finite complement."""
-    gb = reduced_groebner_basis(ideal)
+def _zero_dimensional(gb):
+    # the basis, once its staircase is known to be finite
     if gb.staircase is None:
         raise NotZeroDimensional("ideal is not zero-dimensional")
-    return gb.staircase
+    return gb
+
+
+def staircase_of(ideal: Ideal) -> StandardSet:
+    """Staircase under the lex leading terms; requires finite complement."""
+    return _zero_dimensional(reduced_groebner_basis(ideal)).staircase
 
 
 def monomial_ideal(s: StandardSet) -> Ideal:
@@ -483,21 +473,23 @@ def intersect_comaximal(ideals) -> Ideal:
     than the factors' sum means the supports were not disjoint and raises
     ValueError.
     """
-    bases = [reduced_groebner_basis(i) for i in ideals]
+    bases = [_zero_dimensional(reduced_groebner_basis(i)) for i in ideals]
     if not bases:
         raise ValueError("need at least one ideal")
-    if any(gb.staircase is None for gb in bases):
-        raise NotZeroDimensional("ideal is not zero-dimensional")
     if len(bases) == 1:
         return Ideal(bases[0])
-    m1, m2, ones, shift = [], [], [], 0
+    blocks, shift = ([], [], []), 0
     for gb in bases:
-        (f1, den1), (f2, den2), (f_one, den_one) = _quotient(gb)
-        m1 += [({i + shift: c for i, c in col.items()}, den1) for col in f1]
-        m2 += [({i + shift: c for i, c in col.items()}, den2) for col in f2]
-        ones.append(({i + shift: c for i, c in f_one.items()}, den_one))
-        shift += len(f1)
-    result = _lex_basis((_matrix(m1), _matrix(m2), _sum(ones)))
+        f1, f2, (f_one, den_one) = _quotient(gb)
+        for block, (cols, den) in zip(blocks, (f1, f2, ([f_one], den_one))):
+            block += [({i + shift: c for i, c in col.items()}, den) for col in cols]
+        shift += len(f1[0])
+    m1, m2, (ones, den) = map(_matrix, blocks)
+    # the merged one has no content: the blocks have disjoint supports, and
+    # each prime p | den divides some block's own denominator as often as
+    # den, so p misses an entry of that block, which the scaling keeps
+    one = {i: c for block in ones for i, c in block.items()}
+    result = _lex_basis((m1, m2, (one, den)))
     if result.staircase.cardinality != sum(gb.staircase.cardinality for gb in bases):
         raise ValueError("supports not disjoint")
     return Ideal(result)
@@ -537,12 +529,21 @@ def tall_point_ideal(height: int, coefficients) -> Ideal:
     return substitute(monomial_ideal(StandardSet([height])), 1, shift)
 
 
+def _integral(v):
+    # the weight as ints; any other entry would make a power of t inexact
+    weight = tuple(int(w) for w in v)
+    if weight != tuple(v):
+        raise ValueError("weights must be integers")
+    return weight
+
+
 def torus_scale(f: Polynomial, t, v) -> Polynomial:
-    """Scale each term by t to the power of its v-weight; t must be nonzero."""
+    """Scale each term by t to the power of its v-weight; t must be nonzero
+    and the weights integers."""
     t = Fraction(t)
     if t == 0:
         raise ValueError("t must be nonzero")
-    v1, v2 = v
+    v1, v2 = _integral(v)
     return Polynomial(
         {e: c * t ** (e[0] * v1 + e[1] * v2) for e, c in f.terms}
     )
@@ -608,9 +609,7 @@ def supported_at_origin(gb: ReducedGroebnerBasis) -> bool:
     local algebra at the origin then has length n, so (x1, x2)^n is in
     it): 2n sparse mat-vecs on a carried quotient, or else two normal
     forms, as building the quotient takes one per border monomial."""
-    if gb.staircase is None:
-        raise NotZeroDimensional("ideal is not zero-dimensional")
-    n = gb.staircase.cardinality
+    n = _zero_dimensional(gb).staircase.cardinality
     if gb.quotient is None:
         data = _basis_data(gb.elements)
         return not any(_nf_terms({e: Fraction(1)}, data) for e in ((n, 0), (0, n)))
@@ -620,9 +619,7 @@ def supported_at_origin(gb: ReducedGroebnerBasis) -> bool:
 def supported_on_line(gb: ReducedGroebnerBasis, level) -> bool:
     """Whether a zero-dimensional ideal of colength n is supported on the
     line x2 = level: whether (x2 - level)^n is in it, M2 - level nilpotent."""
-    if gb.staircase is None:
-        raise NotZeroDimensional("ideal is not zero-dimensional")
-    quotient = _quotient(gb)
+    quotient = _quotient(_zero_dimensional(gb))
     if level:
         quotient = _substituted(quotient, 2, Polynomial.constant(level))
     return _nilpotent(quotient, 2, gb.staircase.cardinality)
@@ -636,12 +633,11 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
     work for any zero-dimensional ideal; other weights require support at
     the origin.  The result carries its reduced lex basis; if its
     staircase cardinality differs from the input's, the limit left the
-    Hilbert scheme and LimitDoesNotExist is raised.
+    Hilbert scheme and LimitDoesNotExist is raised.  The weights must be
+    integers.
     """
-    v1, v2 = int(v[0]), int(v[1])
-    gb = reduced_groebner_basis(ideal)
-    if gb.staircase is None:
-        raise NotZeroDimensional("ideal is not zero-dimensional")
+    v1, v2 = _integral(v)
+    gb = _zero_dimensional(reduced_groebner_basis(ideal))
     n = gb.staircase.cardinality
     if v1 <= 0 and v2 <= 0:
         # the v-minimal parts of the reduced weight basis are the reduced
@@ -679,9 +675,7 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
         raise ValueError(f"p must not involve x{index}")
     if p.is_zero():
         return ideal
-    gb = reduced_groebner_basis(ideal)
-    if gb.staircase is None:
-        raise NotZeroDimensional("ideal is not zero-dimensional")
+    gb = _zero_dimensional(reduced_groebner_basis(ideal))
     quotient = _substituted(_quotient(gb), index, p)
     if index == 1 or p.leading_exponent() == (0, 0):
         return Ideal(_unwalked(gb.staircase, quotient))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 
 
 class StandardSet:
@@ -155,9 +156,9 @@ def c4_sum(a: StandardSet, b: StandardSet, direction: int) -> StandardSet:
     re-sorts; direction 2 does the same with rows.
     """
     if direction == 1:
-        return StandardSet.from_columns(a.cols() + b.cols())
+        return sum1((a, b))
     if direction == 2:
-        return StandardSet.from_rows(a.rows() + b.rows())
+        return sum2((a, b))
     raise ValueError("direction must be 1 or 2")
 
 
@@ -170,11 +171,14 @@ def sum1(staircases) -> StandardSet:
 
 
 def sum2(staircases) -> StandardSet:
-    """Fold of c4_sum in direction 2 over an iterable."""
-    rows = []
-    for s in staircases:
-        rows.extend(s.rows())
-    return StandardSet.from_rows(rows)
+    """Fold of c4_sum in direction 2 over an iterable.
+
+    Merging rows adds column heights: column j of the result counts the
+    rows wider than j, and each summand counts its own such rows in its
+    column j."""
+    return StandardSet(
+        map(sum, zip_longest(*(s.cols() for s in staircases), fillvalue=0))
+    )
 
 
 def enumerate_staircases(n: int):

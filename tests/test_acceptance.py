@@ -315,3 +315,16 @@ def test_criteria_25_26_sampler_suites_at_nmax_48(num, suite):
     with _within(10, num, f"{suite} at n_max 48 reproduces its golden report"):
         report = runner(100, 0, 48)
         assert report.to_json() + "\n" == _golden(f"verify_nmax48_{suite}.json")
+
+
+@pytest.mark.parametrize(
+    "num,suite",
+    [(29, "prop1"), (30, "prop2"), (31, "divisibility")],
+    ids=lambda p: p if isinstance(p, str) else None,
+)
+def test_criteria_29_to_31_sampler_suites_at_nmax_64(num, suite):
+    # prop1 and prop2 intersect comaximal ideals in every trial
+    runner = SUITES[suite][0]
+    with _within(10, num, f"{suite} at n_max 64 reproduces its golden report"):
+        report = runner(100, 0, 64)
+        assert report.to_json() + "\n" == _golden(f"verify_nmax64_{suite}.json")

@@ -200,6 +200,14 @@ class TestSum:
         assert code == 0
         assert json.loads(out) == {"columns": [3]}
 
+    def test_direction_two_of_a_tall_column(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, ["sum", "2", '{"columns": [1000000000]}', '{"columns": [1]}']
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, '{"columns": [1000000001]}\n')
+
     def test_bad_direction(self):
         with pytest.raises(SystemExit) as exc:
             main(["sum", "3", '{"columns": [1]}', '{"columns": [1]}'])

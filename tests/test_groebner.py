@@ -4,7 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -455,6 +455,35 @@ class TestPointsAndIntersections:
         )
         assert staircase_of(ideal) == StandardSet([2, 1])
 
+    def test_intersect_merges_images_of_one_without_content(self):
+        # scaling a factor's image of 1 keeps its ideal; scaled by fractions
+        # of different denominators, the merged image of 1 still has no
+        # common content with its denominator
+        def scaled(vec, factor):
+            entries, den = vec
+            values = {i: Fraction(c, den) * factor for i, c in entries.items()}
+            common = lcm(*(v.denominator for v in values.values()))
+            return {i: int(v * common) for i, v in values.items()}, common
+
+        rng = random.Random("merged-one")
+        dens = set()
+        for _ in range(20):
+            plain, factors = [], []
+            for x in rng.sample(range(-6, 7), 3):
+                ys = rng.sample(range(-3, 4), rng.randint(1, 3))
+                plain.append(vanishing_ideal([(x, y) for y in ys]))
+                gb = reduced_groebner_basis(plain[-1])
+                m1, m2, one = _quotient(gb)
+                factor = Fraction(rng.choice([1, 2, 5]), rng.choice([2, 3, 4, 6, 9]))
+                one = scaled(one, factor)
+                dens.add(one[1])
+                factors.append(Ideal(_unwalked(gb.staircase, (m1, m2, one))))
+            ideal = intersect_comaximal(factors)
+            entries, den = _quotient(ideal.basis)[2]
+            assert den > 0 and gcd(den, *entries.values()) == 1
+            assert ideal == intersect_comaximal(plain)
+        assert len(dens) > 1
+
     def test_product_with_unit_keeps_staircase(self):
         ideal = vanishing_ideal([(0, 0), (1, 2)])
         unit = Ideal((P("1"),))
@@ -524,8 +553,27 @@ class TestTorusScale:
         f = P("x1")
         assert torus_scale(f, 2, (-1, 0)) == P("1/2*x1")
 
+    def test_weights_must_be_integers(self):
+        f = P("x1 + x2")
+        for v in [(0.5, 0), (Fraction(1, 2), 0), (0, Fraction(-3, 2))]:
+            with pytest.raises(ValueError, match="weights must be integers"):
+                torus_scale(f, 2, v)
+        assert torus_scale(f, 2, (Fraction(2), 0)) == P("4*x1 + x2")
+
 
 class TestTorusLimit:
+    def test_weights_must_be_integers(self):
+        # truncating the positive weight 1/2 to 0 would walk to the
+        # (0, -1) limit of points off the origin
+        ideal = vanishing_ideal([(1, 2), (3, 5), (4, 7)])
+        with pytest.raises(ValueError, match="weights must be integers") as exc:
+            torus_limit(ideal, (Fraction(1, 2), -1))
+        assert type(exc.value) is ValueError
+        with pytest.raises(LimitDoesNotExist):
+            torus_limit(ideal, (Fraction(2), -1))
+        origin = Ideal((P("x1 + x2"), P("x2^2")))
+        assert torus_limit(origin, (Fraction(2), -1)) == torus_limit(origin, (2, -1))
+
     def test_killing_rule_global_route(self):
         ideal = Ideal((P("x1 + x2"), P("x2^2")))
         limit = torus_limit(ideal, (-1, 0))

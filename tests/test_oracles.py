@@ -3,7 +3,8 @@
 sympy's lex and grlex Groebner bases over QQ are compared with
 reduced_groebner_basis, intersect_comaximal and torus_limit on seeded
 random ideals, and torus_limit against a saturation by t in sympy of
-the weight-scaled family.  vanishing_ideal and the free sampler are
+the weight-scaled family, and the walk at a weight order against sympy's
+reduced basis under that order.  vanishing_ideal and the free sampler are
 checked against the closed form of the lex staircase of a point set.  The
 quotient matrices behind substitute and the samplers are checked against
 Polynomial.compose plus Buchberger and for commuting; substitute is also
@@ -21,7 +22,10 @@ from grobasin.basinlab import BasinSampleSpec, _free_sample, sample_basin_ideal
 from grobasin.groebner import (
     Ideal,
     NotZeroDimensional,
+    _monic,
     _quotient,
+    _walk,
+    _weight_key,
     ideal_product,
     intersect_comaximal,
     monomial_ideal,
@@ -315,6 +319,79 @@ def test_saturation_cases_exercise_the_walk():
             for g in lex
         )
     assert walked > 0
+
+
+def _walk_start(kind, arg):
+    # four to six seeded distinct points, or an origin sample of the columns arg
+    if kind == "origin":
+        return _saturation_start(kind, arg)
+    rng = random.Random(f"weight-walk:{arg}")
+    points, count = set(), rng.randint(4, 6)
+    while len(points) < count:
+        points.add((_small(rng), rng.randint(-2, 2)))
+    return vanishing_ideal(sorted(points))
+
+
+_WALK_WEIGHTS = [(-1, -3), (-3, -1), (0, -1), (-1, 0), (-2, -5)]
+_WALK_CASES = [
+    (("points", seed), v) for seed in range(6) for v in _WALK_WEIGHTS
+] + [
+    (("origin", cols), v)
+    for cols in [(2, 1), (3, 1), (2, 2), (3, 2, 1)]
+    for v in _WALK_WEIGHTS
+]
+
+
+def _sympy_weight_order(v):
+    # the weight v refined by lex, the key (-<v, e>, e) of _weight_key; one
+    # class per call, as sympy caches rings by their order and a
+    # MonomialOrder compares and hashes by its class alone
+    orderings = pytest.importorskip("sympy.polys.orderings")
+
+    class WeightOrder(orderings.MonomialOrder):
+        is_global = True  # v is nonpositive
+
+        def __call__(self, e):
+            return (-_weight(v, e), e)
+
+    return WeightOrder()
+
+
+@pytest.mark.parametrize("start,v", _WALK_CASES, ids=str)
+def test_weight_walk_matches_sympy(start, v):
+    sympy = pytest.importorskip("sympy")
+    x1, x2 = sympy.symbols("x1 x2")
+    gb = reduced_groebner_basis(_walk_start(*start))
+    ours = map(_monic, *_walk(_quotient(gb), _weight_key(v)))
+    basis = sympy.groebner(
+        [_sympy_expr(g) for g in gb.elements],
+        x1, x2, order=_sympy_weight_order(v), domain="QQ",
+    )
+    # read the expressions: printing the basis calls the order's key on
+    # tuples shorter than two
+    theirs = {
+        tuple(
+            sorted(
+                (
+                    (e, Fraction(int(c.numerator), int(c.denominator)))
+                    for e, c in sympy.Poly(g, x1, x2).terms()
+                ),
+                reverse=True,
+            )
+        )
+        for g in basis.exprs
+    }
+    assert {g.terms for g in ours} == theirs
+
+
+def test_weight_walk_cases_leave_lex():
+    # in some case the weight leads are not the lex leads
+    assert any(
+        set(_walk(_quotient(gb), _weight_key(v))[0])
+        != {g.terms[0][0] for g in gb.elements}
+        for start, v in _WALK_CASES
+        for gb in [reduced_groebner_basis(_walk_start(*start))]
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -262,6 +263,20 @@ class TestSums:
                 assert c4_sum(c4_sum(a, b, d), c, d) == c4_sum(
                     a, c4_sum(b, c, d), d
                 )
+
+    def test_direction_two_adds_column_heights(self):
+        # the oracle merges the rows themselves
+        xs = [s for n in range(11) for s in enumerate_staircases(n)]
+        for a, b in itertools.product(xs, xs):
+            merged = StandardSet.from_rows(a.rows() + b.rows())
+            assert sum2((a, b)) == merged
+            assert c4_sum(a, b, 2) == merged
+
+    def test_direction_two_lists_no_rows(self):
+        start = time.perf_counter()
+        tall = sum2((StandardSet([10**9]), StandardSet([1])))
+        assert time.perf_counter() - start < 1
+        assert tall.cols() == (10**9 + 1,)
 
     def test_cardinality_adds(self):
         a = StandardSet([2, 2])
