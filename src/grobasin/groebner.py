@@ -495,6 +495,13 @@ def intersect_comaximal(ideals) -> Ideal:
     return Ideal(result)
 
 
+def _exact(value, name):
+    # a float holds a binary expansion, not the decimal it was written as
+    if isinstance(value, float):
+        raise ValueError(f"{name} must be exact, not the float {value!r}")
+    return Fraction(value)
+
+
 def point_ideal(point) -> Ideal:
     """The ideal of one rational point."""
     return vanishing_ideal([point])
@@ -504,8 +511,9 @@ def vanishing_ideal(points) -> Ideal:
     """Ideal of a finite set of distinct rational points.
 
     One lex walk over the diagonal quotient: the k-th point's coordinates
-    on the diagonals of M1 and M2, and one = (1, ..., 1)."""
-    pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
+    on the diagonals of M1 and M2, and one = (1, ..., 1).  Coordinates are
+    ints, Fractions or strings; a float raises ValueError."""
+    pts = [(_exact(p[0], "coordinates"), _exact(p[1], "coordinates")) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     if not pts:
@@ -519,8 +527,9 @@ def tall_point_ideal(height: int, coefficients) -> Ideal:
 
     Generated by x1 + sum of c_b x2^b for b below height, and x2^height,
     the image of (x1, x2^height) under x1 -> x1 + sum of c_b x2^b, which
-    are its reduced basis (x2^height first).  The support is (-c_0, 0)."""
-    coeffs = [Fraction(c) for c in coefficients]
+    are its reduced basis (x2^height first).  The support is (-c_0, 0).
+    A float coefficient raises ValueError."""
+    coeffs = [_exact(c, "coefficients") for c in coefficients]
     if height < 1:
         raise ValueError("height must be positive")
     if len(coeffs) != height:
@@ -539,8 +548,8 @@ def _integral(v):
 
 def torus_scale(f: Polynomial, t, v) -> Polynomial:
     """Scale each term by t to the power of its v-weight; t must be nonzero
-    and the weights integers."""
-    t = Fraction(t)
+    and exact (not a float), and the weights integers."""
+    t = _exact(t, "t")
     if t == 0:
         raise ValueError("t must be nonzero")
     v1, v2 = _integral(v)
@@ -669,14 +678,18 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
     the new matrix.  For index 1, and for a constant p, every lex leading
     term stays where it was, so the result carries the input's staircase
     and its basis elements are walked only when first read; otherwise one
-    lex walk gives the basis the result carries.
+    lex walk gives the basis the result carries.  When p(M_other) is zero
+    nothing moves, and the result carries the input's basis unwalked.
     """
     if any(e[index - 1] for e, _ in p.terms):
         raise ValueError(f"p must not involve x{index}")
     if p.is_zero():
         return ideal
     gb = _zero_dimensional(reduced_groebner_basis(ideal))
-    quotient = _substituted(_quotient(gb), index, p)
+    original = _quotient(gb)
+    quotient = _substituted(original, index, p)
+    if quotient is original:
+        return Ideal(gb)
     if index == 1 or p.leading_exponent() == (0, 0):
         return Ideal(_unwalked(gb.staircase, quotient))
     return Ideal(_lex_basis(quotient))
@@ -684,6 +697,8 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
 
 def _substituted(quotient, index, p):
     # the quotient with M_index replaced by M_index - p(M_other); p nonzero.
+    # When p(M_other) is zero (p without constant term on a nilpotent
+    # M_other, say), the input itself comes back.
     # With p = sum a_b x^b / cden of degree d and M_other = C / oden, the
     # columns of p(M_other) are those of sum a_b oden^(d - b) C^b over
     # cden * oden^d, one Horner pass each on integers; the new matrix goes
@@ -697,7 +712,7 @@ def _substituted(quotient, index, p):
     common = lcm(den, pden)
     scale, keep = common // pden, common // den
     horner = [-coeffs.get(b, 0) * scale * oden ** (d - b) for b in range(d, -1, -1)]
-    moved = []
+    moved, shifted = [], False
     for j, col in enumerate(cols):
         acc = {j: horner[0]}
         for h in horner[1:]:
@@ -708,9 +723,14 @@ def _substituted(quotient, index, p):
             if h:
                 nxt[j] = nxt.get(j, 0) + h
             acc = nxt
+        # tested before the column is added: an entry the shift cancels
+        # to zero is still a move
+        shifted = shifted or any(acc.values())
         for i, c in col.items():
             acc[i] = acc.get(i, 0) + c * keep
         moved.append({i: c for i, c in acc.items() if c})
+    if not shifted:
+        return quotient
     g = gcd(common, *(c for col in moved for c in col.values()))
     if g != 1:
         moved = [{i: c // g for i, c in col.items()} for col in moved]

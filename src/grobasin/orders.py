@@ -42,11 +42,34 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
     Equivalently, the row multiset of a can be partitioned into blocks
     whose sums form the row multiset of b.  Staircases of different
     cardinality are never comparable.
+
+    A row width that a and b share cancels before the search.  In any
+    witness, say a's row r lies in the block B of b's row s, and b's row
+    of r's width is made from the block C.  Then C together with B - {r}
+    fills s, and {r} alone fills the row of its width: another witness,
+    in which r merges into itself.  So the memoised search sees only the
+    rows left over, an instance that many pairs share.
     """
     # the k widest rows of a lie in at most k blocks, so the k widest rows
     # of b hold at least their sum: merging can only raise the row partial
     # sums, which by conjugation is dominance(a, b)
-    return dominance(a, b) and _fill_blocks(a.rows(), b.rows())
+    if not dominance(a, b):
+        return False
+    # one merge walk over the two descending row tuples
+    ra, rb = a.rows(), b.rows()
+    pieces, caps = [], []
+    i = j = 0
+    while i < len(ra) and j < len(rb):
+        if ra[i] == rb[j]:
+            i += 1
+            j += 1
+        elif ra[i] > rb[j]:
+            pieces.append(ra[i])
+            i += 1
+        else:
+            caps.append(rb[j])
+            j += 1
+    return _fill_blocks(tuple(pieces) + ra[i:], tuple(caps) + rb[j:])
 
 
 def et_row_partition(a: StandardSet, b: StandardSet):
@@ -112,10 +135,36 @@ def _height_counts(cols):
 
 def leq_punc(a: StandardSet, b: StandardSet) -> bool:
     """True iff each column of a breaks into vertical pieces such that the
-    multiset of all pieces equals the columns of b."""
+    multiset of all pieces equals the columns of b.
+
+    A column height that a and b share cancels before the search.  In any
+    witness, say a's column c of height h breaks into the pieces P, while
+    b's column of height h is a piece of a's column c'.  Let c yield that
+    piece whole and c' yield P in its place; P sums to h, so this is
+    another witness, in which c stays unbroken.  So the memoised search
+    sees only the columns left over, an instance that many pairs share.
+    """
     # the k tallest columns of b are pieces of at most k columns of a, so
     # breaking can only lower the column partial sums: dominance(a, b)
-    return dominance(a, b) and _break_columns(a.cols(), _height_counts(b.cols()))
+    if not dominance(a, b):
+        return False
+    # one merge walk over the two descending column tuples; what is left of
+    # b is grouped by the cached _height_counts, so equal leftovers share
+    # one tuple across the cache entries that hold them
+    ca, cb = a.cols(), b.cols()
+    targets, rest = [], []
+    i = j = 0
+    while i < len(ca) and j < len(cb):
+        if ca[i] == cb[j]:
+            i += 1
+            j += 1
+        elif ca[i] > cb[j]:
+            targets.append(ca[i])
+            i += 1
+        else:
+            rest.append(cb[j])
+            j += 1
+    return _break_columns(tuple(targets) + ca[i:], _height_counts(tuple(rest) + cb[j:]))
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,12 @@ class TestPoset:
             "}\n"
         )
 
+    @pytest.mark.parametrize("order", ["et", "punc", "dominance"])
+    def test_listing_at_14_matches_golden(self, capsys, order):
+        code, out, _ = run(capsys, ["poset", "14", "--order", order])
+        assert code == 0
+        assert out == (DATA / f"poset_n14_{order}.txt").read_text()
+
     def test_single_node_no_edges(self, capsys):
         code, out, _ = run(capsys, ["poset", "1"])
         assert code == 0

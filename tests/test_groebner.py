@@ -158,6 +158,24 @@ class TestDeferredSubstitution:
         assert ideal.generators == (X2**2, X1 + X2)
         assert len(walks) == 1
 
+    def test_a_substitution_that_moves_nothing_walks_nothing(self, walks):
+        # for the columns (2, 1, 1), M1^3 = 0 and M2^2 = 0, so x2 -> x2 + x1^3
+        # and x1 -> x1 + x2^2 leave every matrix as it was
+        start = reduced_groebner_basis(monomial_ideal(StandardSet([2, 1, 1])))
+        for index, p in [(2, P("x1^3")), (2, P("x1^4 - 2*x1^3")), (1, P("x2^2"))]:
+            assert substitute(Ideal(start), index, p).basis is start
+        assert walks == []
+        # from generators alone the result still carries its basis
+        plain = Ideal(start.elements)
+        assert substitute(plain, 2, P("x1^3")).basis == start
+        # on (x2 - x1, x1^2), M2 = M1: x2 -> x2 + x1 cancels every entry of
+        # M2, and is still a move
+        line = Ideal((X2 - X1, X1**2))
+        moved = substitute(line, 2, X1)
+        assert staircase_of(moved) == StandardSet([1, 1])
+        assert moved.generators == (X2, X1**2)
+        assert len(walks) == 1
+
     def test_a_wrong_carried_staircase_raises_when_walked(self):
         quotient = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([2, 1]))))
         claim = Ideal(_unwalked(StandardSet([3]), quotient))
@@ -225,6 +243,14 @@ class TestSubstitutedMatrices:
                     assert all(c for col in cols for c in col.values())
                     assert moved[2 - index] is quotient[2 - index]
                     assert moved[2] is quotient[2]
+
+    def test_zero_shift_returns_the_input(self):
+        # for the columns (3, 1), M1^2 = 0 and M2^3 = 0
+        quotient = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([3, 1]))))
+        assert _substituted(quotient, 2, P("x1^2 - 1/2*x1^5")) is quotient
+        assert _substituted(quotient, 1, P("3*x2^3")) is quotient
+        assert _substituted(quotient, 2, P("x1")) is not quotient
+        assert _substituted(quotient, 1, P("x2^2")) is not quotient
 
 
 class TestElementsBuiltWhenRead:
@@ -426,6 +452,18 @@ class TestPointsAndIntersections:
         assert gb.elements == (P("x2 + 3"), P("x1 - 1/2"))
         assert gb.staircase == StandardSet([1])
 
+    def test_point_ideal_rejects_floats(self):
+        with pytest.raises(ValueError, match="coordinates must be exact"):
+            point_ideal((0, 0.5))
+        assert point_ideal(("1/2", Fraction(3))) == point_ideal((Fraction(1, 2), 3))
+
+    def test_vanishing_ideal_rejects_floats(self):
+        # 0.1 would be taken as 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match="coordinates must be exact"):
+            vanishing_ideal([(0, 0), (0.1, 0)])
+        exact = vanishing_ideal([(0, 0), ("1/10", 0)])
+        assert exact.generators == (P("x2"), P("x1^2 - 1/10*x1"))
+
     def test_vanishing_ideal_rejects_duplicates(self):
         with pytest.raises(ValueError):
             vanishing_ideal([(0, 0), (0, 0)])
@@ -510,6 +548,11 @@ class TestTallPoints:
         with pytest.raises(ValueError):
             tall_point_ideal(2, [1])
 
+    def test_coefficients_must_be_exact(self):
+        with pytest.raises(ValueError, match="coefficients must be exact"):
+            tall_point_ideal(2, [0, 0.1])
+        assert tall_point_ideal(2, [0, "1/10"]).generators == (P("x2^2"), P("x1 + 1/10*x2"))
+
     def test_column_staircase(self):
         rng = random.Random(9)
         for n in range(1, 7):
@@ -559,6 +602,12 @@ class TestTorusScale:
             with pytest.raises(ValueError, match="weights must be integers"):
                 torus_scale(f, 2, v)
         assert torus_scale(f, 2, (Fraction(2), 0)) == P("4*x1 + x2")
+
+    def test_t_must_be_exact(self):
+        with pytest.raises(ValueError, match="t must be exact, not the float 0.1"):
+            torus_scale(X1, 0.1, (1, 0))
+        assert torus_scale(X1, "1/10", (1, 0)) == P("1/10*x1")
+        assert torus_scale(X1, Fraction(1, 10), (2, 0)) == P("1/100*x1")
 
 
 class TestTorusLimit:

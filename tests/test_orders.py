@@ -11,12 +11,14 @@ from grobasin.orders import (
     _block_lines,
     _break_columns,
     _build_certificate,
+    _height_counts,
     _leq_punc_cols,
     _fill_blocks,
     _match_lines,
     _multiset_partitions,
     _perfect_match,
     _signed_decompositions,
+    _sub_removals,
     build_poset,
     check_certificate,
     dominance,
@@ -749,3 +751,40 @@ class TestScalingBudgets:
             "et": (231, 1033), "punc": (231, 1033), "dominance": (231, 459)
         }
         assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"
+
+    def test_posets_at_n18_unchanged_within_budget(self):
+        # relation and covers of each order hashed as recorded before the
+        # searches ran on cancelled instances, from cold search caches
+        for cache in (_fill_blocks, _break_columns, _sub_removals, _height_counts):
+            cache.cache_clear()
+        start = time.perf_counter()
+        digests = {}
+        for name in ("et", "punc", "dominance"):
+            poset = build_poset(18, name)
+            digest = hashlib.sha256()
+            digest.update(repr(poset.relation).encode())
+            digest.update(repr(poset.covers).encode())
+            digests[name] = (len(poset.elements), len(poset.covers), digest.hexdigest()[:16])
+        elapsed = time.perf_counter() - start
+        assert digests == {
+            "et": (385, 1948, "0078126de90f3a16"),
+            "punc": (385, 1948, "544b8349aaf3c7b5"),
+            "dominance": (385, 824, "ef3419dff211fea3"),
+        }
+        assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
+
+
+class TestCancelledSearchMemo:
+    # leq_et and leq_punc cancel the parts a and b share before the
+    # memoized search, so pairs meet shared sub-instances; searching every
+    # query whole left 37445 entries in _fill_blocks and 27025 in
+    # _break_columns after build_poset(16, ...)
+
+    @pytest.mark.parametrize(
+        "order,cache,whole", [("et", _fill_blocks, 37445), ("punc", _break_columns, 27025)]
+    )
+    def test_poset_at_16_leaves_at_most_half_the_entries(self, order, cache, whole):
+        for search in (_fill_blocks, _break_columns, _sub_removals, _height_counts):
+            search.cache_clear()
+        build_poset(16, order)
+        assert 0 < cache.cache_info().currsize <= whole // 2
