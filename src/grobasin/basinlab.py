@@ -37,7 +37,7 @@ from .orders import (
     leq_et,
     leq_punc,
 )
-from .poly import Polynomial
+from .poly import Polynomial, exact
 from .staircase import StandardSet, enumerate_staircases, sum1, sum2
 
 
@@ -45,26 +45,29 @@ class SamplingError(RuntimeError):
     """A sampler ran out of rejection budget."""
 
 
+# candidates a sampler may reject before it gives up
+MAX_REJECTIONS = 50
+
+
 @dataclass(frozen=True)
 class BasinSampleSpec:
     """What to sample: a target staircase plus a support constraint.
 
     support_constraint is 'origin', 'x1_axis', 'horizontal_line' (with
-    `line` set to the rational x2 level) or 'free'."""
+    `line` set to the exact rational x2 level) or 'free'."""
 
     target: StandardSet
     support_constraint: str = "origin"
     line: object = None
     seed: int = 0
-    max_rejections: int = 50
 
     def __post_init__(self):
         if self.support_constraint not in ("origin", "x1_axis", "horizontal_line", "free"):
             raise ValueError(f"unknown support constraint {self.support_constraint!r}")
         if (self.line is not None) != (self.support_constraint == "horizontal_line"):
             raise ValueError("`line` is set exactly for horizontal_line support")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be at least 1")
+        if self.line is not None:
+            exact(self.line, "line")
         if self.target.cardinality == 0:
             raise ValueError("target must be nonempty")
 
@@ -89,20 +92,18 @@ def _distinct_fractions(rng, count):
     return out
 
 
-def _rand_shift_poly(rng, variable, max_degree, allow_constant):
-    # a small polynomial in the given variable, zero constant term unless
-    # allowed; at least one nonzero coefficient
-    lo = 0 if allow_constant else 1
-    degree = rng.randint(lo, max(lo, max_degree))
+def _rand_shift_poly(rng, variable, max_degree):
+    # a small nonzero polynomial in the given variable, with no constant term
+    degree = rng.randint(1, max_degree)
     coeffs = {}
     for _ in range(rng.randint(1, 2)):
-        b = rng.randint(lo, max(lo, degree))
+        b = rng.randint(1, degree)
         coeffs[b] = _rand_fraction(rng, nonzero=True)
     exp = (lambda b: (0, b)) if variable == 2 else (lambda b: (b, 0))
     return Polynomial({exp(b): c for b, c in coeffs.items()})
 
 
-def _origin_sample(target, rng, max_rejections):
+def _origin_sample(target, rng):
     # walk through the basin with origin-preserving triangular substitutions
     ideal = monomial_ideal(target)
     rejections = 0
@@ -111,33 +112,33 @@ def _origin_sample(target, rng, max_rejections):
     h = max(2, target.height)
     while done < wanted:
         if rng.random() < 0.6:
-            candidate = substitute(ideal, 1, _rand_shift_poly(rng, 2, min(h, 3), False))
+            candidate = substitute(ideal, 1, _rand_shift_poly(rng, 2, min(h, 3)))
         else:
-            candidate = substitute(ideal, 2, _rand_shift_poly(rng, 1, 2, False))
+            candidate = substitute(ideal, 2, _rand_shift_poly(rng, 1, 2))
         if staircase_of(candidate) == target:
             ideal = candidate
             done += 1
         else:
             rejections += 1
-            if rejections > max_rejections:
+            if rejections > MAX_REJECTIONS:
                 raise SamplingError(
                     f"no basin sample for cols{target.cols()} within budget"
                 )
     return ideal
 
 
-def _spread(index, sampler, targets, rng, max_rejections):
+def _spread(index, sampler, targets, rng):
     # one sample per target, each translated along x_index to its own
     # distinct place, intersected once every sample has been drawn
     places = _distinct_fractions(rng, len(targets))
     samples = [
-        substitute(sampler(t, rng, max_rejections), index, Polynomial.constant(-z))
+        substitute(sampler(t, rng), index, Polynomial.constant(-z))
         for t, z in zip(targets, places)
     ]
     return intersect_comaximal(samples)
 
 
-def _axis_sample(target, rng, max_rejections):
+def _axis_sample(target, rng):
     # several tall or fat points at distinct abscissas on the x1-axis
     cols = list(target.cols())
     rejections = 0
@@ -150,11 +151,11 @@ def _axis_sample(target, rng, max_rejections):
             for lo, hi in zip([0] + cuts, cuts + [len(cols)])
         ]
         parts = [StandardSet.from_columns(group) for group in groups]
-        ideal = _spread(1, _origin_sample, parts, rng, max_rejections)
+        ideal = _spread(1, _origin_sample, parts, rng)
         if staircase_of(ideal) == target:
             return ideal
         rejections += 1
-        if rejections > max_rejections:
+        if rejections > MAX_REJECTIONS:
             raise SamplingError(
                 f"no axis sample for cols{target.cols()} within budget"
             )
@@ -183,20 +184,25 @@ def _free_sample(target, rng):
     return vanishing_ideal(_line_points(rng, [(width,) for width in target.rows()]))
 
 
+def _sample(constraint, target, rng):
+    # horizontal_line samples on the x1-axis, and the caller moves it; the
+    # names are looked up per call, so a rebound sampler is the one called
+    if constraint == "origin":
+        return _origin_sample(target, rng)
+    if constraint == "free":
+        return _free_sample(target, rng)
+    return _axis_sample(target, rng)
+
+
 def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
     """Draw an exact ideal whose staircase is spec.target and whose support
     satisfies the constraint.  Raises SamplingError when the rejection
     budget runs out."""
     rng = random.Random(f"sample:{spec.seed}")
     target = spec.target
-    if spec.support_constraint == "origin":
-        ideal = _origin_sample(target, rng, spec.max_rejections)
-    elif spec.support_constraint in ("x1_axis", "horizontal_line"):
-        ideal = _axis_sample(target, rng, spec.max_rejections)
-        if spec.line is not None:
-            ideal = substitute(ideal, 2, Polynomial.constant(-Fraction(spec.line)))
-    else:
-        ideal = _free_sample(target, rng)
+    ideal = _sample(spec.support_constraint, target, rng)
+    if spec.line is not None:
+        ideal = substitute(ideal, 2, Polynomial.constant(-Fraction(spec.line)))
     gb = reduced_groebner_basis(ideal)
     # a substitution may hand over its input's staircase unwalked; reading
     # the elements walks them and raises unless the walk finds it too, so
@@ -353,7 +359,7 @@ def _merge_suite(experiment, index, sampler, max_parts, merge, trials, n_max, se
         expected = merge(targets)
 
         def attempt():
-            observed = staircase_of(_spread(index, sampler, targets, rng, 50))
+            observed = staircase_of(_spread(index, sampler, targets, rng))
             return observed == expected, _label(expected), _label(observed)
 
         return f"trial={i} factors=" + "+".join(_label(t) for t in targets), attempt
@@ -383,7 +389,7 @@ def run_divisibility(trials: int, n_max: int = 8, seed: int = 0) -> ExperimentRe
         target = _random_staircase(rng, rng.randint(2, n_max))
 
         def attempt():
-            basis = reduced_groebner_basis(_axis_sample(target, rng, 50)).elements
+            basis = reduced_groebner_basis(_axis_sample(target, rng)).elements
             ok = all(
                 min(e[1] for e, _ in g.terms) >= g.leading_exponent()[1]
                 for g in basis
@@ -453,7 +459,7 @@ def run_punc_consistency(trials: int, n_max: int = 6, seed: int = 0) -> Experime
         v2 = n * v1 + rng.randint(0, 4)
 
         def attempt():
-            limit = torus_limit(_origin_sample(target, rng, 50), (v1, v2))
+            limit = torus_limit(_origin_sample(target, rng), (v1, v2))
             monomial = all(len(g.terms) == 1 for g in limit.generators)
             observed = staircase_of(limit)
             return (
@@ -477,13 +483,7 @@ def run_torus_calibration(trials: int, n_max: int = 6, seed: int = 0) -> Experim
         mode = rng.choice(["origin", "x1_axis", "free"])
 
         def attempt():
-            if mode == "origin":
-                ideal = _origin_sample(target, rng, 50)
-            elif mode == "x1_axis":
-                ideal = _axis_sample(target, rng, 50)
-            else:
-                ideal = _free_sample(target, rng)
-            limit = torus_limit(ideal, (-(n + 1), -1))
+            limit = torus_limit(_sample(mode, target, rng), (-(n + 1), -1))
             expected = reduced_groebner_basis(monomial_ideal(target)).elements
             observed = reduced_groebner_basis(limit).elements
             monomial = all(len(g.terms) == 1 for g in limit.generators)

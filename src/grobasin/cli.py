@@ -93,7 +93,7 @@ def _cmd_groebner(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

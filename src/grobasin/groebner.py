@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import Polynomial, format_polynomial, parse_polynomial
+from .poly import Polynomial, exact, format_polynomial, parse_polynomial
 from .staircase import StandardSet
 
 
@@ -495,13 +495,6 @@ def intersect_comaximal(ideals) -> Ideal:
     return Ideal(result)
 
 
-def _exact(value, name):
-    # a float holds a binary expansion, not the decimal it was written as
-    if isinstance(value, float):
-        raise ValueError(f"{name} must be exact, not the float {value!r}")
-    return Fraction(value)
-
-
 def point_ideal(point) -> Ideal:
     """The ideal of one rational point."""
     return vanishing_ideal([point])
@@ -513,7 +506,7 @@ def vanishing_ideal(points) -> Ideal:
     One lex walk over the diagonal quotient: the k-th point's coordinates
     on the diagonals of M1 and M2, and one = (1, ..., 1).  Coordinates are
     ints, Fractions or strings; a float raises ValueError."""
-    pts = [(_exact(p[0], "coordinates"), _exact(p[1], "coordinates")) for p in points]
+    pts = [(exact(p[0], "coordinates"), exact(p[1], "coordinates")) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     if not pts:
@@ -529,7 +522,7 @@ def tall_point_ideal(height: int, coefficients) -> Ideal:
     the image of (x1, x2^height) under x1 -> x1 + sum of c_b x2^b, which
     are its reduced basis (x2^height first).  The support is (-c_0, 0).
     A float coefficient raises ValueError."""
-    coeffs = [_exact(c, "coefficients") for c in coefficients]
+    coeffs = [exact(c, "coefficients") for c in coefficients]
     if height < 1:
         raise ValueError("height must be positive")
     if len(coeffs) != height:
@@ -549,7 +542,7 @@ def _integral(v):
 def torus_scale(f: Polynomial, t, v) -> Polynomial:
     """Scale each term by t to the power of its v-weight; t must be nonzero
     and exact (not a float), and the weights integers."""
-    t = _exact(t, "t")
+    t = exact(t, "t")
     if t == 0:
         raise ValueError("t must be nonzero")
     v1, v2 = _integral(v)
@@ -566,7 +559,7 @@ def _initial_form(terms, v):
     )
 
 
-def _punctual_limit(quotient, n, v):
+def _punctual_limit(quotient, v):
     """Reduced lex basis of the weight-v limit of the colength n ideal with
     this quotient.
 
@@ -576,6 +569,7 @@ def _punctual_limit(quotient, n, v):
     gives m - (standard monomials before it) in the ideal; their v-minimal
     parts and (x1, x2)^n span the limit."""
     m1, m2, one = quotient
+    n = len(m1[0])
     vectors = {(0, 0): one}
     for d in range(1, n):
         vectors[(0, d)] = _apply(m2, vectors[(0, d - 1)])
@@ -603,10 +597,10 @@ def _punctual_limit(quotient, n, v):
     return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, ({}, 1))))
 
 
-def _nilpotent(quotient, index, n):
-    # whether M_index^n one = 0
+def _nilpotent(quotient, index):
+    # whether M_index^n one = 0, n the colength (the columns of M1)
     vec = quotient[2]
-    for _ in range(n):
+    for _ in range(len(quotient[0][0])):
         vec = _apply(quotient[index - 1], vec)
     return not vec[0]
 
@@ -616,13 +610,9 @@ def supported_at_origin(gb: ReducedGroebnerBasis) -> bool:
 
     With colength n that holds iff x1^n and x2^n lie in the ideal (its
     local algebra at the origin then has length n, so (x1, x2)^n is in
-    it): 2n sparse mat-vecs on a carried quotient, or else two normal
-    forms, as building the quotient takes one per border monomial."""
-    n = _zero_dimensional(gb).staircase.cardinality
-    if gb.quotient is None:
-        data = _basis_data(gb.elements)
-        return not any(_nf_terms({e: Fraction(1)}, data) for e in ((n, 0), (0, n)))
-    return _nilpotent(gb.quotient, 1, n) and _nilpotent(gb.quotient, 2, n)
+    it): 2n sparse mat-vecs on the quotient."""
+    quotient = _quotient(_zero_dimensional(gb))
+    return _nilpotent(quotient, 1) and _nilpotent(quotient, 2)
 
 
 def supported_on_line(gb: ReducedGroebnerBasis, level) -> bool:
@@ -631,7 +621,7 @@ def supported_on_line(gb: ReducedGroebnerBasis, level) -> bool:
     quotient = _quotient(_zero_dimensional(gb))
     if level:
         quotient = _substituted(quotient, 2, Polynomial.constant(level))
-    return _nilpotent(quotient, 2, gb.staircase.cardinality)
+    return _nilpotent(quotient, 2)
 
 
 def torus_limit(ideal: Ideal, v) -> Ideal:
@@ -663,7 +653,7 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
                 "limit does not exist in the Hilbert scheme: "
                 "ideal is not supported at the origin"
             )
-        limit_gb = _punctual_limit(_quotient(gb), n, (v1, v2))
+        limit_gb = _punctual_limit(_quotient(gb), (v1, v2))
     if limit_gb.staircase is None or limit_gb.staircase.cardinality != n:
         raise LimitDoesNotExist("limit does not exist in the Hilbert scheme")
     return Ideal(limit_gb)
@@ -683,9 +673,9 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
     """
     if any(e[index - 1] for e, _ in p.terms):
         raise ValueError(f"p must not involve x{index}")
-    if p.is_zero():
-        return ideal
     gb = _zero_dimensional(reduced_groebner_basis(ideal))
+    if p.is_zero():
+        return Ideal(gb)
     original = _quotient(gb)
     quotient = _substituted(original, index, p)
     if quotient is original:

@@ -572,11 +572,11 @@ def _match_lines(lines_a, lines_b):
     return None if pairs is None else dict(pairs)
 
 
-def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
+def find_certificate(a: StandardSet, b: StandardSet):
     """Exhaustive search for an incidence certificate for (a, b).
 
     Returns a certificate that check_certificate accepts, or None when no
-    certificate exists.  bound caps the cardinality the search accepts.
+    certificate exists.
 
     A certificate implies dominance(a, b), so pairs failing it return None
     before any search.  Write lam >= mu when the column partial sums of lam
@@ -594,8 +594,6 @@ def find_certificate(a: StandardSet, b: StandardSet, bound: int = 8):
     one to one with theirs, so L' <= L1 | ... | Lr <= L1 + ... + Lr.
     Adding over the b-lines gives b <= a.
     """
-    if a.cardinality > bound or b.cardinality > bound:
-        raise ValueError(f"cardinality exceeds search bound {bound}")
     if a.cardinality != b.cardinality:
         return None
     if a.cardinality == 0:

@@ -15,6 +15,14 @@ import re
 from fractions import Fraction
 
 
+def exact(value, name) -> Fraction:
+    """value (an int, Fraction or string like "3/4") as a Fraction; a float,
+    a binary expansion and not the decimal it was written as, raises."""
+    if isinstance(value, float):
+        raise ValueError(f"{name} must be exact, not the float {value!r}")
+    return Fraction(value)
+
+
 def lex_compare(alpha, beta) -> int:
     """-1, 0 or 1 as the exponent alpha is below, equal to or above beta."""
     if alpha == beta:
@@ -26,11 +34,11 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, coeffs=None):
-        # coeffs: mapping exponent pair -> coefficient
+        # coeffs: mapping exponent pair -> exact coefficient
         items = []
         for exp, c in (coeffs or {}).items():
             if type(c) is not Fraction:
-                c = Fraction(c)
+                c = exact(c, "coeffs")
             if c == 0:
                 continue
             e1, e2 = exp
@@ -46,7 +54,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): exact(c, "c")})
 
     @classmethod
     def variable(cls, index: int):
@@ -58,7 +66,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exp, coeff=1):
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: exact(coeff, "coeff")})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -115,7 +123,7 @@ class Polynomial:
         return Polynomial(acc)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = exact(c, "c")
         return Polynomial({e: c * coeff for e, coeff in self.terms})
 
     def term_multiple(self, exp, coeff) -> "Polynomial":
@@ -160,7 +168,7 @@ class Polynomial:
         return out
 
     def evaluate(self, point) -> Fraction:
-        p1, p2 = Fraction(point[0]), Fraction(point[1])
+        p1, p2 = exact(point[0], "point"), exact(point[1], "point")
         total = Fraction(0)
         for (a, b), c in self.terms:
             total += c * p1**a * p2**b

@@ -114,7 +114,10 @@ class StandardSet:
 
     @classmethod
     def from_json(cls, text: str) -> "StandardSet":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(data, dict) or set(data) != {"columns"}:
             raise ValueError("expected an object with a single 'columns' key")
         cols = data["columns"]

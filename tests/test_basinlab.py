@@ -56,9 +56,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BasinSampleSpec(target=TARGET, support_constraint="horizontal_line")
 
-    def test_rejection_budget(self):
-        with pytest.raises(ValueError):
-            BasinSampleSpec(target=TARGET, max_rejections=0)
+    def test_line_must_be_exact(self):
+        # 0.1 would put the support on x2 = 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match="^line must be exact, not the float 0.1$"):
+            BasinSampleSpec(TARGET, "horizontal_line", line=0.1)
+        assert BasinSampleSpec(TARGET, "horizontal_line", line="1/10").line == "1/10"
 
     def test_empty_target(self):
         with pytest.raises(ValueError):
@@ -127,6 +129,42 @@ class TestSamplerContracts:
             for seed in range(5)
         }
         assert len(seen) > 1
+
+
+class TestRejectionBudget:
+    """A sampler gives up once more than MAX_REJECTIONS candidates have left
+    the target's basin."""
+
+    def test_origin_sampler_gives_up(self, monkeypatch):
+        # seed 3's first substitution on cols(1, 1) leaves the basin, and a
+        # later one is taken within the usual budget
+        target = StandardSet([1, 1])
+        sample = basinlab._origin_sample(target, random.Random(3))
+        assert groebner.staircase_of(sample) == target
+        monkeypatch.setattr(basinlab, "MAX_REJECTIONS", 0)
+        with pytest.raises(
+            SamplingError, match=r"^no basin sample for cols\(1, 1\) within budget$"
+        ):
+            basinlab._origin_sample(target, random.Random(3))
+
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_axis_sampler_gives_up(self, monkeypatch, budget):
+        # every spread of origin samples along the x1-axis lands in the
+        # target's basin (prop1), so the rejected candidates are forced here:
+        # a spread that always returns the wrong staircase
+        spreads = []
+
+        def off_target(*args):
+            spreads.append(args)
+            return groebner.monomial_ideal(StandardSet([3]))
+
+        monkeypatch.setattr(basinlab, "_spread", off_target)
+        monkeypatch.setattr(basinlab, "MAX_REJECTIONS", budget)
+        with pytest.raises(
+            SamplingError, match=r"^no axis sample for cols\(2, 1\) within budget$"
+        ):
+            basinlab._axis_sample(StandardSet([2, 1]), random.Random(0))
+        assert len(spreads) == budget + 1
 
 
 class TestStaircaseDraw:
@@ -344,9 +382,7 @@ class TestRegressions:
         monkeypatch.setattr(basinlab, "intersect_comaximal", traced_intersect)
         monkeypatch.setattr(basinlab, "substitute", traced_substitute)
         targets = [StandardSet([2, 1]), StandardSet([1]), StandardSet([3])]
-        ideal = basinlab._spread(
-            1, basinlab._origin_sample, targets, random.Random("spread"), 50
-        )
+        ideal = basinlab._spread(1, basinlab._origin_sample, targets, random.Random("spread"))
         assert reduced_groebner_basis(ideal).staircase == StandardSet([3, 2, 1, 1])
         assert len(during) >= len(targets)
         assert not any(during)

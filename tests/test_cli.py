@@ -138,6 +138,13 @@ class TestCheck:
         assert err.startswith("error: Expecting ',' delimiter")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("depth", [20000, 100000])
+    def test_deeply_nested_json(self, capsys, depth):
+        # the decoder's RecursionError is a parse error like any other
+        nested = "[" * depth + "]" * depth
+        code, out, err = run(capsys, ["check", "et", nested, '{"columns": [1]}'])
+        assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
     def test_filter_true(self, capsys):
         code, out, _ = run(
             capsys,
@@ -232,6 +239,12 @@ class TestSum:
         assert "error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("depth", [20000, 100000])
+    def test_deeply_nested_json(self, capsys, depth):
+        nested = "[" * depth + "]" * depth
+        code, out, err = run(capsys, ["sum", "1", '{"columns": [1]}', nested])
+        assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
 
 class TestGroebner:
     def test_staircase(self, capsys, tmp_path):
@@ -292,6 +305,14 @@ class TestGroebner:
         code, _, err = run(capsys, ["groebner", str(path), "--staircase"])
         assert code == 1
         assert "zero-dimensional" in err
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "ideal.txt"
+        path.write_bytes(b"\xff\xfe x1\n")
+        code, out, err = run(capsys, ["groebner", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_parse_error_exit(self, capsys, tmp_path):
         path = tmp_path / "ideal.txt"

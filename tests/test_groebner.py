@@ -176,6 +176,21 @@ class TestDeferredSubstitution:
         assert moved.generators == (X2, X1**2)
         assert len(walks) == 1
 
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_the_zero_shift_is_gated_and_carries_its_basis(self, walks, index):
+        # p = 0 takes the gate every other p takes, then moves nothing
+        zero, other = Polynomial.zero(), (X2 if index == 1 else X1)
+        line = Ideal((X1,)) if index == 1 else Ideal((X2,))
+        for p in (zero, other):
+            with pytest.raises(NotZeroDimensional):
+                substitute(line, index, p)
+        plain = Ideal((X1 + X2, X2**2))
+        shifted = substitute(plain, index, zero)
+        assert shifted.basis is not None
+        assert shifted.basis == reduced_groebner_basis(plain)
+        assert shifted == Ideal((X2**2, X1 + X2))
+        assert walks == []
+
     def test_a_wrong_carried_staircase_raises_when_walked(self):
         quotient = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([2, 1]))))
         claim = Ideal(_unwalked(StandardSet([3]), quotient))
@@ -657,9 +672,7 @@ class TestTorusLimit:
                 global_route = reduced_groebner_basis(
                     torus_limit(ideal, v)
                 ).elements
-                punctual = _punctual_limit(
-                    _quotient(gb), gb.staircase.cardinality, v
-                ).elements
+                punctual = _punctual_limit(_quotient(gb), v).elements
                 assert global_route == punctual
                 # the punctual walk's output is a reduced basis
                 assert reduced_groebner_basis(Ideal(list(punctual))).elements == punctual
@@ -777,10 +790,9 @@ class TestSupportedAtOrigin:
             gb = reduced_groebner_basis(ideal)
             expected = _holds_degree_n_monomials(gb)
             assert supported_at_origin(gb) == expected, ideal.generators
-            # the same basis without a quotient takes two normal forms
+            # the same basis without a quotient builds its own
             bare = ReducedGroebnerBasis(gb.elements, gb.staircase)
             assert supported_at_origin(bare) == expected, ideal.generators
-            assert bare.quotient is None
             seen[expected] += 1
         assert min(seen[True], seen[False]) >= 25, seen
 
@@ -791,21 +803,6 @@ class TestSupportedAtOrigin:
         )
         with pytest.raises(NotZeroDimensional):
             supported_at_origin(reduced_groebner_basis(Ideal((P("x1"),))))
-
-    def test_parsed_basis_is_checked_without_its_quotient(self, monkeypatch):
-        # a basis that carries no quotient takes two normal forms, not one
-        # per border monomial (here 20001 of them)
-        def refused(gb):
-            raise AssertionError("the quotient was built")
-
-        monkeypatch.setattr(groebner, "_quotient", refused)
-        ideal = Ideal((P("x1^20000 - 1"), P("x2")))
-        with pytest.raises(
-            LimitDoesNotExist,
-            match="^limit does not exist in the Hilbert scheme: "
-            "ideal is not supported at the origin$",
-        ):
-            torus_limit(ideal, (1, 1))
 
 
 class TestScalingBudgets:

@@ -452,10 +452,6 @@ class TestCertificates:
     def test_search_none_on_size_mismatch(self):
         assert find_certificate(StandardSet([1]), StandardSet([2])) is None
 
-    def test_search_over_bound_raises(self):
-        with pytest.raises(ValueError):
-            find_certificate(StandardSet([3]), StandardSet([3]), bound=2)
-
     def test_search_empty_pair(self):
         cert = find_certificate(EMPTY, EMPTY)
         assert cert is not None
@@ -478,7 +474,7 @@ class TestCertificates:
         for n in range(11):
             sts = enumerate_staircases(n)
             for a, b in itertools.product(sts, sts):
-                cert = find_certificate(a, b, bound=10)
+                cert = find_certificate(a, b)
                 found += cert is not None
                 digest.update(repr(cert).encode())
         assert (found, digest.hexdigest()[:16]) == (1698, "e904514a49192401")
@@ -694,7 +690,7 @@ class TestScalingBudgets:
         start = time.perf_counter()
         found = 0
         for a, b in itertools.product(sts, sts):
-            cert = find_certificate(a, b, bound=10)
+            cert = find_certificate(a, b)
             if cert is not None:
                 found += 1
                 assert check_certificate(cert, a, b)
@@ -718,7 +714,7 @@ class TestScalingBudgets:
         start = time.perf_counter()
         found = 0
         for a, b in itertools.product(sts, sts):
-            cert = find_certificate(a, b, bound=12)
+            cert = find_certificate(a, b)
             if cert is not None:
                 found += 1
                 assert check_certificate(cert, a, b)

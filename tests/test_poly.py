@@ -185,6 +185,39 @@ class TestTextFormat:
         assert format_polynomial(Polynomial.zero()) == "0"
 
 
+class TestExactInputs:
+    """An outside number becomes a Fraction only when it is exact: a float
+    raises ValueError naming the argument, an int, Fraction or string is
+    taken as before."""
+
+    def test_constructor_rejects_floats(self):
+        with pytest.raises(ValueError, match="^coeffs must be exact, not the float 0.1$"):
+            Polynomial({(1, 0): 0.1})
+        assert Polynomial({(1, 0): "1/10"}) == Polynomial({(1, 0): Fraction(1, 10)})
+
+    def test_constant_rejects_floats(self):
+        with pytest.raises(ValueError, match="^c must be exact, not the float 0.1$"):
+            Polynomial.constant(0.1)
+        assert Polynomial.constant("1/10").terms == (((0, 0), Fraction(1, 10)),)
+
+    def test_monomial_rejects_floats(self):
+        with pytest.raises(ValueError, match="^coeff must be exact, not the float 0.5$"):
+            Polynomial.monomial((1, 1), 0.5)
+        assert Polynomial.monomial((1, 1), 2) == parse_polynomial("2*x1*x2")
+
+    def test_scale_rejects_floats(self):
+        with pytest.raises(ValueError, match="^c must be exact, not the float 0.1$"):
+            X1.scale(0.1)
+        assert X1.scale("3/2") == parse_polynomial("3/2*x1")
+
+    def test_evaluate_rejects_floats(self):
+        p = parse_polynomial("x1*x2 + 1")
+        for point in [(0.5, 1), (1, 0.5)]:
+            with pytest.raises(ValueError, match="^point must be exact, not the float 0.5$"):
+                p.evaluate(point)
+        assert p.evaluate(("1/2", 3)) == Fraction(5, 2)
+
+
 class TestConstants:
     def test_generators(self):
         assert X1 == Polynomial.variable(1)
