@@ -305,11 +305,15 @@ def leq_punc_via_alg(a: StandardSet, b: StandardSet) -> bool:
 _ORDERS = {}
 
 
-def order_function(name: str):
+def _named(table, name):
     try:
-        return _ORDERS[name]
+        return table[name]
     except KeyError:
         raise ValueError(f"unknown order {name!r}") from None
+
+
+def order_function(name: str):
+    return _named(_ORDERS, name)
 
 
 @dataclass
@@ -321,32 +325,110 @@ class PosetData:
     covers: tuple
 
 
+# one-step moves on a weakly decreasing tuple of parts, each tried once per
+# choice of part values
+
+
+def _moved(parts, taken, added):
+    # parts with the values taken out and added put in, as a weakly
+    # decreasing tuple without zeros
+    rest = list(parts)
+    for x in taken:
+        rest.remove(x)
+    return tuple(sorted((x for x in rest + list(added) if x), reverse=True))
+
+
+def _row_merges(rows):
+    # merge two rows into one
+    values = sorted(set(rows), reverse=True)
+    for a, u in enumerate(values):
+        for v in values[a:]:
+            if u != v or rows.count(u) > 1:
+                yield _moved(rows, (u, v), (u + v,))
+
+
+def _column_splits(cols):
+    # split one column into two pieces
+    for h in set(cols):
+        for piece in range(1, h // 2 + 1):
+            yield _moved(cols, (h,), (h - piece, piece))
+
+
+def _unit_transfers(cols):
+    # move one box from a column of height h to one of height g <= h - 2,
+    # a new column when g = 0
+    padded = cols + (0,)
+    for h in set(cols):
+        for g in set(padded):
+            if h - g >= 2:
+                yield _moved(padded, (h, g), (h - 1, g + 1))
+
+
+# per order, the reading its moves act on and the moves
+_MOVES = {
+    "et": (StandardSet.rows, _row_merges),
+    "punc": (StandardSet.cols, _column_splits),
+    "dominance": (StandardSet.cols, _unit_transfers),
+}
+
+
 def build_poset(n: int, order: str) -> PosetData:
     """Poset of all staircases of cardinality n under the named order.
 
     order is 'et', 'punc' or 'dominance'.  Covers are the transitive
     reduction of the relation.
+
+    Each order is the reflexive-transitive closure of a one-step move:
+
+    - et: merge two rows.  A run of merges joins the rows of a into
+      blocks, and each partition of the rows into blocks is reached by
+      merging the rows of each block one at a time.
+    - punc: split one column into two pieces.  A run of splits breaks
+      each column of a into pieces, and each such breaking is reached by
+      cutting its pieces off one at a time.
+    - dominance: a unit transfer, one box from a column to a column at
+      least two shorter (Brylawski 1973).  A transfer from column c to a
+      later column d lowers the partial sums at c..d-1 by one and keeps
+      the rest.  Conversely let a > b, let i be the first index where the
+      partial sums of a and b differ and j the first index after i where
+      they agree again.  Then a_i > b_i >= b_j > a_j, so the last column
+      of height a_i and the first of height a_j lie in i..j, at least two
+      apart in height, and the transfer between them lowers only partial
+      sums that exceed those of b: a > a' >= b, and induction on the
+      total excess reaches b.
+
+    The staircases are listed lex-descending on columns, which extends
+    dominance, and every move lowers dominance (each order refines it),
+    so each move from element i lands at some j > i, and one backward
+    pass sets up[i], the elements above i, to i and the up[j] of its
+    moves.  A cover is a single move, as a longer chain has an element
+    strictly between; a move i -> j is a cover unless j also lies above
+    another move from i, that is two or more moves above i.
     """
-    leq = order_function(order)
+    reading, moves = _named(_MOVES, order)
     elements = tuple(enumerate_staircases(n))
     k = len(elements)
+    index = {reading(s): i for i, s in enumerate(elements)}
+    succ = [sorted({index[t] for t in moves(reading(s))}) for s in elements]
+    # bit m of up[i] is relation[i][m]
+    up = [0] * k
+    for i in reversed(range(k)):
+        bits = 1 << i
+        for j in succ[i]:
+            bits |= up[j]
+        up[i] = bits
+    # a move i -> j is a cover unless j lies two or more moves above i
+    covers = []
+    for i, js in enumerate(succ):
+        beyond = 0
+        for j in js:
+            beyond |= up[j] & ~(1 << j)
+        covers.extend((i, j) for j in js if not beyond >> j & 1)
+    # bit m is the m-th character from the right of the padded binary form
     relation = tuple(
-        tuple(leq(elements[i], elements[j]) for j in range(k))
-        for i in range(k)
+        tuple(map("1".__eq__, format(bits, f"0{k}b")[::-1])) for bits in up
     )
-    # bit m of up[i] is relation[i][m], bit m of down[j] is relation[m][j];
-    # a related pair i != j is a cover iff no third element lies in both
-    up = [sum(1 << m for m in range(k) if row[m]) for row in relation]
-    down = [sum(1 << m for m in range(k) if relation[m][j]) for j in range(k)]
-    covers = tuple(
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if i != j
-        and relation[i][j]
-        and not up[i] & down[j] & ~(1 << i | 1 << j)
-    )
-    return PosetData(elements, relation, covers)
+    return PosetData(elements, relation, tuple(covers))
 
 
 def _node_label(s: StandardSet) -> str:

@@ -328,3 +328,11 @@ def test_criteria_29_to_31_sampler_suites_at_nmax_64(num, suite):
     with _within(10, num, f"{suite} at n_max 64 reproduces its golden report"):
         report = runner(100, 0, 64)
         assert report.to_json() + "\n" == _golden(f"verify_nmax64_{suite}.json")
+
+
+def test_criterion_32_et_closure_at_n16():
+    # every cover of the row merging posets up to n = 16: 3380 cases
+    runner = SUITES["et-closure"][0]
+    with _within(10, 32, "et-closure at n = 16 reproduces its golden report"):
+        report = runner(100, 0, 16)
+        assert report.to_json() + "\n" == _golden("verify_n16_et-closure.json")

@@ -8,6 +8,7 @@ import pytest
 from grobasin.orders import (
     IncidenceCertificate,
     SplitQuadruple,
+    _MOVES,
     _block_lines,
     _break_columns,
     _build_certificate,
@@ -35,6 +36,9 @@ from grobasin.orders import (
     to_dot,
 )
 from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
+
+# the memoised searches of the two orders
+_SEARCHES = (_fill_blocks, _break_columns, _sub_removals, _height_counts)
 
 
 def index_partitions(k):
@@ -142,8 +146,10 @@ class TestOrderAxioms:
         assert not leq(b, a)
 
     def test_unknown_order_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown order 'colex'"):
             order_function("colex")
+        with pytest.raises(ValueError, match="unknown order 'colex'"):
+            build_poset(3, "colex")
 
 
 class TestRefinementAndDuality:
@@ -306,12 +312,27 @@ class TestPosets:
         }
 
     def test_relation_matrix_matches_order(self):
+        # the closure of the moves against the point queries, every pair
         for name in ("et", "punc", "dominance"):
             leq = order_function(name)
-            poset = build_poset(5, name)
-            for i, a in enumerate(poset.elements):
-                for j, b in enumerate(poset.elements):
-                    assert poset.relation[i][j] == leq(a, b)
+            for n in range(13):
+                poset = build_poset(n, name)
+                for i, a in enumerate(poset.elements):
+                    for j, b in enumerate(poset.elements):
+                        assert poset.relation[i][j] == leq(a, b), (name, i, j)
+
+    def test_listing_extends_every_move(self):
+        # build_poset's backward pass needs the listing strictly
+        # lex-descending on columns and every move to land later in it
+        for n in range(21):
+            elements = enumerate_staircases(n)
+            cols = [s.cols() for s in elements]
+            assert all(x > y for x, y in zip(cols, cols[1:]))
+            for name, (reading, moves) in _MOVES.items():
+                index = {reading(s): i for i, s in enumerate(elements)}
+                for i, s in enumerate(elements):
+                    for t in moves(reading(s)):
+                        assert index[t] > i, (name, s.cols(), t)
 
     def test_covers_are_transitive_reduction(self):
         # the covers, in their order, against the O(k^3) definition
@@ -751,7 +772,7 @@ class TestScalingBudgets:
     def test_posets_at_n18_unchanged_within_budget(self):
         # relation and covers of each order hashed as recorded before the
         # searches ran on cancelled instances, from cold search caches
-        for cache in (_fill_blocks, _break_columns, _sub_removals, _height_counts):
+        for cache in _SEARCHES:
             cache.cache_clear()
         start = time.perf_counter()
         digests = {}
@@ -769,18 +790,49 @@ class TestScalingBudgets:
         }
         assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
 
+    def test_posets_at_n20_unchanged_within_budget(self):
+        # relation and covers of each order hashed as recorded when every
+        # pair was an order search, from cold search caches
+        for cache in _SEARCHES:
+            cache.cache_clear()
+        start = time.perf_counter()
+        digests = {}
+        for name in ("et", "punc", "dominance"):
+            poset = build_poset(20, name)
+            digest = hashlib.sha256()
+            digest.update(repr(poset.relation).encode())
+            digest.update(repr(poset.covers).encode())
+            digests[name] = (len(poset.elements), len(poset.covers), digest.hexdigest()[:16])
+        elapsed = time.perf_counter() - start
+        assert digests == {
+            "et": (627, 3545, "3f0546fc12698f66"),
+            "punc": (627, 3545, "dcbe2652ed66585e"),
+            "dominance": (627, 1430, "e8467cc8e9dc4634"),
+        }
+        assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"
+
 
 class TestCancelledSearchMemo:
     # leq_et and leq_punc cancel the parts a and b share before the
     # memoized search, so pairs meet shared sub-instances; searching every
     # query whole left 37445 entries in _fill_blocks and 27025 in
-    # _break_columns after build_poset(16, ...)
+    # _break_columns after leq on every ordered pair at n = 16
 
     @pytest.mark.parametrize(
         "order,cache,whole", [("et", _fill_blocks, 37445), ("punc", _break_columns, 27025)]
     )
-    def test_poset_at_16_leaves_at_most_half_the_entries(self, order, cache, whole):
-        for search in (_fill_blocks, _break_columns, _sub_removals, _height_counts):
+    def test_sweep_at_16_leaves_at_most_half_the_entries(self, order, cache, whole):
+        for search in _SEARCHES:
+            search.cache_clear()
+        leq = order_function(order)
+        sts = enumerate_staircases(16)
+        for a, b in itertools.product(sts, sts):
+            leq(a, b)
+        assert 0 < cache.cache_info().currsize <= whole // 2
+
+    @pytest.mark.parametrize("order", ["et", "punc", "dominance"])
+    def test_poset_runs_no_search(self, order):
+        for search in _SEARCHES:
             search.cache_clear()
         build_poset(16, order)
-        assert 0 < cache.cache_info().currsize <= whole // 2
+        assert [search.cache_info().currsize for search in _SEARCHES] == [0, 0, 0, 0]
