@@ -503,16 +503,42 @@ def point_ideal(point) -> Ideal:
 def vanishing_ideal(points) -> Ideal:
     """Ideal of a finite set of distinct rational points.
 
-    One lex walk over the diagonal quotient: the k-th point's coordinates
-    on the diagonals of M1 and M2, and one = (1, ..., 1).  Coordinates are
-    ints, Fractions or strings; a float raises ValueError."""
+    One lex walk over the quotient in per-line Newton coordinates.  For
+    the points on the line x2 = c, with abscissas x_0, ..., x_{r-1} in
+    input order, the products N_a = (x1 - x_0) ... (x1 - x_{a-1}), a < r,
+    are a basis of their quotient: x1 N_a = N_{a+1} + x_a N_a with
+    N_r = 0, so M1 is bidiagonal per line, x2 N_a = c N_a, and the image
+    of 1 is N_0 of every line.  A monomial x1^i x2^j then has a vector on
+    N_0..N_i of each line, where point evaluations would fill every entry,
+    so the walk eliminates sparse vectors.  The lines go by ascending
+    point count (ties in order of first appearance): the walk pivots on
+    the largest index, and the long lines, whose N_a the high powers of x1
+    reach, come last.  Coordinates are ints, Fractions or strings; a float
+    raises ValueError."""
     pts = [(exact(p[0], "coordinates"), exact(p[1], "coordinates")) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     if not pts:
         raise ValueError("need at least one point")
-    m1, m2 = (_matrix([_vector({k: p[i]}) for k, p in enumerate(pts)]) for i in (0, 1))
-    return Ideal(_lex_basis((m1, m2, (dict.fromkeys(range(len(pts)), 1), 1))))
+    lines = {}
+    for x, c in pts:
+        lines.setdefault(c, []).append(x)
+    # sorted is stable: equal counts keep the order of first appearance
+    lines = sorted(lines.items(), key=lambda line: len(line[1]))
+    den1 = lcm(*(x.denominator for x, _ in pts))
+    den2 = lcm(*(c.denominator for c, _ in lines))
+    m1, m2, one = [], [], {}
+    for c, xs in lines:
+        one[len(m1)] = 1
+        end = len(m1) + len(xs)
+        c = c.numerator * (den2 // c.denominator)
+        for a, x in enumerate(xs, start=len(m1)):
+            col = {a: x.numerator * (den1 // x.denominator)} if x else {}
+            if a + 1 < end:
+                col[a + 1] = den1
+            m1.append(col)
+            m2.append({a: c} if c else {})
+    return Ideal(_lex_basis(((m1, den1), (m2, den2), (one, 1))))
 
 
 def tall_point_ideal(height: int, coefficients) -> Ideal:

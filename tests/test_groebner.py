@@ -34,7 +34,7 @@ from grobasin.groebner import (
 from grobasin.groebner import _quotient, _substituted, _unwalked
 from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.poly import Polynomial, X1, X2, parse_polynomial
-from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
+from grobasin.staircase import EMPTY, StandardSet, cell_dimensions, enumerate_staircases
 
 
 def P(text):
@@ -556,6 +556,108 @@ class TestPointsAndIntersections:
         assert staircase_of(ideal) == StandardSet([1, 1, 1])
 
 
+def _diagonal_basis(points):
+    # the walk over point evaluations: the k-th point's coordinates on the
+    # diagonals of M1 and M2, and one = (1, ..., 1)
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    m1, m2 = (
+        groebner._matrix([groebner._vector({k: p[i]}) for k, p in enumerate(pts)])
+        for i in (0, 1)
+    )
+    return groebner._lex_basis((m1, m2, (dict.fromkeys(range(len(pts)), 1), 1)))
+
+
+def _coordinate(rng):
+    # zero, integers and fractions of either sign
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+
+
+def _distinct_coordinates(rng, count):
+    out = []
+    while len(out) < count:
+        c = _coordinate(rng)
+        if c not in out:
+            out.append(c)
+    return out
+
+
+def _on_lines(rng, counts):
+    # counts[i] points on the i-th of len(counts) distinct horizontal lines
+    levels = _distinct_coordinates(rng, len(counts))
+    return [(x, c) for count, c in zip(counts, levels) for x in _distinct_coordinates(rng, count)]
+
+
+def _shared_abscissas(rng):
+    # three lines, each through the first 1-4 of the same four abscissas
+    xs = _distinct_coordinates(rng, 4)
+    return [(x, c) for c in _distinct_coordinates(rng, 3) for x in xs[: rng.randint(1, 4)]]
+
+
+_POINT_CONFIGURATIONS = {
+    "one-point": lambda rng: _on_lines(rng, [1]),
+    "one-line": lambda rng: _on_lines(rng, [rng.randint(2, 7)]),
+    "one-point-per-line": lambda rng: _on_lines(rng, [1] * rng.randint(3, 7)),
+    "shared-abscissas": _shared_abscissas,
+    "zero-and-negative-fractions": lambda rng: [
+        (0, 0), (0, Fraction(-5, 3)), (Fraction(-7, 2), 0), (Fraction(-1, 9), Fraction(-1, 9))
+    ] + _on_lines(rng, [2, 1]),
+    "equal-lines": lambda rng: _on_lines(rng, [3] * rng.randint(2, 4)),
+    "mixed-lines": lambda rng: _on_lines(rng, [rng.randint(1, 5) for _ in range(rng.randint(2, 5))]),
+}
+
+
+class TestNewtonQuotient:
+    """vanishing_ideal, whose quotient is in per-line Newton coordinates,
+    against the walk over point evaluations and Buchberger on its own
+    elements, and downstream against the same calls on Ideal(elements),
+    whose quotient is derived from the basis."""
+
+    @staticmethod
+    def _points(name, seed):
+        rng = random.Random(f"{name}:{seed}")
+        # distinct, in order of first appearance
+        return list(dict.fromkeys(_POINT_CONFIGURATIONS[name](rng))), rng
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", sorted(_POINT_CONFIGURATIONS))
+    def test_matches_the_diagonal_walk_and_buchberger(self, name, seed):
+        points, rng = self._points(name, seed)
+        gb = reduced_groebner_basis(vanishing_ideal(points))
+        assert gb == _diagonal_basis(points)
+        assert gb == reduced_groebner_basis(Ideal(gb.elements))
+        assert all(g.evaluate(p) == 0 for g in gb.elements for p in points)
+        # the quotient places the lines and their points in input order;
+        # the basis does not depend on it
+        for _ in range(3):
+            rng.shuffle(points)
+            assert reduced_groebner_basis(vanishing_ideal(points)) == gb
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(_POINT_CONFIGURATIONS))
+    def test_downstream_calls_match_the_derived_quotient(self, name, seed):
+        points, rng = self._points(name, seed)
+        ideal = vanishing_ideal(points)
+        plain = Ideal(reduced_groebner_basis(ideal).elements)
+        assert plain.basis is None
+        for v in [(0, 0), (-1, 0), (0, -1), (-1, -1), (-2, -1), (-(len(points) + 1), -1)]:
+            assert torus_limit(ideal, v) == torus_limit(plain, v)
+        if name == "one-point-per-line":
+            # x1 - f(x2) with deg f >= 2 leads with a power of x2 at
+            # (-1, -1), so that limit ran the walk
+            key = groebner._weight_key((-1, -1))
+            assert any(g.leading_under(key)[0] != g.terms[0][0] for g in ideal.generators)
+        assert substitute(ideal, 2, X1) == substitute(plain, 2, X1)
+        levels = {c for _, c in points}
+        for level in levels | {max(levels) + 1}:
+            assert supported_on_line(ideal.basis, level) == supported_on_line(
+                reduced_groebner_basis(plain), level
+            )
+        other = [(x + 100, c) for x, c in _on_lines(rng, [2, 1])]
+        both = intersect_comaximal([ideal, vanishing_ideal(other)])
+        assert both == intersect_comaximal([plain, vanishing_ideal(other)])
+        assert both == vanishing_ideal(points + other)
+
+
 class TestTallPoints:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -688,6 +790,29 @@ class TestTorusLimit:
         n = staircase_of(ideal).cardinality
         limit = torus_limit(ideal, (1, n))
         assert all(len(g.terms) == 1 for g in limit.generators)
+
+    @pytest.mark.parametrize(
+        "source,limit,columns,dim",
+        [
+            # n = 4: two lines of two points against three points on one
+            # line plus one more point, both lex cells of dimension 6
+            ("x2^2\nx1^2 + x1*x2", "x2^2\nx1*x2\nx1^3", ([2, 2], [2, 1, 1]), ("lex_dim", 6)),
+            # n = 5, at the origin: both punctual cells of dimension 3
+            ("x2^4\nx1*x2 + x2^3\nx1^2", "x2^3\nx1*x2^2\nx1^2", ([4, 1], [3, 2]), ("punc_dim", 3)),
+        ],
+        ids=["affine-n4", "punctual-n5"],
+    )
+    def test_limits_into_another_cell_of_the_same_dimension(self, source, limit, columns, dim):
+        # the family is the source with the x1*x2 coefficient sent to
+        # infinity; the limit lands in another lex cell of equal dimension
+        ideal = parse_ideal_text(source)
+        flowed = torus_limit(ideal, (1, 0))
+        assert flowed.generators == parse_ideal_text(limit).generators
+        before, after = staircase_of(ideal), staircase_of(flowed)
+        assert (before, after) == tuple(map(StandardSet, columns))
+        name, value = dim
+        assert getattr(cell_dimensions(before), name) == value
+        assert getattr(cell_dimensions(after), name) == value
 
     def test_single_point_off_origin(self):
         # supported away from the origin: fine for nonpositive weights

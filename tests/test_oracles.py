@@ -136,19 +136,38 @@ def test_lex_basis_matches_sympy(seed):
     assert {g.terms for g in ours} == _sympy_basis(gens)
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_vanishing_ideal_staircase_rows_are_level_counts(seed):
     # bivariate Cerlienco-Mureddu: under lex with x1 > x2 the rows of the
-    # staircase of distinct points are their counts per x2-level, sorted
+    # staircase of distinct points are their counts per x2-level, sorted.
+    # Seeds 0-7 draw 2-9 points on at most 4 levels, in sorted order; seeds
+    # 8-15 draw 10-18 points on 2-9 levels (at most half the points), the
+    # sizes of the points-large benchmark, in drawn order
     rng = random.Random(1000 + seed)
-    levels = [_rat(rng) for _ in range(rng.randint(1, 4))]
-    size = rng.randint(2, 9)
-    points = set()
-    while len(points) < size:
-        points.add((_rat(rng, 9), rng.choice(levels)))
+    if seed < 8:
+        levels = [_rat(rng) for _ in range(rng.randint(1, 4))]
+        size = rng.randint(2, 9)
+        points = set()
+        while len(points) < size:
+            points.add((_rat(rng, 9), rng.choice(levels)))
+        points = sorted(points)
+    else:
+        size = rng.randint(10, 18)
+        lines = rng.randint(2, min(9, size // 2))
+        levels = []
+        while len(levels) < lines:
+            if (c := _rat(rng, 9)) not in levels:
+                levels.append(c)
+        # every level gets a point, the rest fall anywhere
+        points = [(_rat(rng, 9), c) for c in levels]
+        while len(points) < size:
+            point = (_rat(rng, 9), rng.choice(levels))
+            if point not in points:
+                points.append(point)
     counts = Counter(p[1] for p in points)
-    gb = reduced_groebner_basis(vanishing_ideal(sorted(points)))
+    gb = reduced_groebner_basis(vanishing_ideal(points))
     assert list(gb.staircase.rows()) == sorted(counts.values(), reverse=True)
+    assert all(g.evaluate(p) == 0 for g in gb.elements for p in points)
 
 
 def _translate(gens, point):
