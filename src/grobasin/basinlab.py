@@ -42,10 +42,10 @@ from .staircase import StandardSet, enumerate_staircases, sum1, sum2
 
 
 class SamplingError(RuntimeError):
-    """A sampler ran out of rejection budget."""
+    """A sampler ran out of rejection budget or left its basin."""
 
 
-# candidates a sampler may reject before it gives up
+# candidates the origin sampler may reject before it gives up
 MAX_REJECTIONS = 50
 
 
@@ -139,26 +139,19 @@ def _spread(index, sampler, targets, rng):
 
 
 def _axis_sample(target, rng):
-    # several tall or fat points at distinct abscissas on the x1-axis
+    # several tall or fat points at distinct abscissas on the x1-axis; by
+    # prop1 their spread lands in the target's basin, so one draw is checked
+    # and not retried
     cols = list(target.cols())
-    rejections = 0
-    while True:
-        rng.shuffle(cols)
-        k = rng.randint(1, len(cols))
-        cuts = sorted(rng.sample(range(1, len(cols)), k - 1)) if k > 1 else []
-        groups = [
-            cols[lo:hi]
-            for lo, hi in zip([0] + cuts, cuts + [len(cols)])
-        ]
-        parts = [StandardSet.from_columns(group) for group in groups]
-        ideal = _spread(1, _origin_sample, parts, rng)
-        if staircase_of(ideal) == target:
-            return ideal
-        rejections += 1
-        if rejections > MAX_REJECTIONS:
-            raise SamplingError(
-                f"no axis sample for cols{target.cols()} within budget"
-            )
+    rng.shuffle(cols)
+    k = rng.randint(1, len(cols))
+    cuts = sorted(rng.sample(range(1, len(cols)), k - 1)) if k > 1 else []
+    groups = [cols[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(cols)])]
+    parts = [StandardSet.from_columns(group) for group in groups]
+    ideal = _spread(1, _origin_sample, parts, rng)
+    if staircase_of(ideal) != target:
+        raise SamplingError(f"axis sample for cols{target.cols()} left its basin")
+    return ideal
 
 
 def _line_points(rng, blocks):
@@ -196,8 +189,8 @@ def _sample(constraint, target, rng):
 
 def sample_basin_ideal(spec: BasinSampleSpec) -> Ideal:
     """Draw an exact ideal whose staircase is spec.target and whose support
-    satisfies the constraint.  Raises SamplingError when the rejection
-    budget runs out."""
+    satisfies the constraint.  Raises SamplingError when a sampler gives
+    up or its output fails a recheck."""
     rng = random.Random(f"sample:{spec.seed}")
     target = spec.target
     ideal = _sample(spec.support_constraint, target, rng)
@@ -272,7 +265,7 @@ class ExperimentReport:
 
 def _report(experiment, seed, cases):
     # runs each (case, attempt) in order; attempt() returns (ok, expected,
-    # observed), and a sampler out of budget is recorded as a failed case
+    # observed), and a SamplingError is recorded as a failed case
     run = passed = 0
     failures = []
     for case, attempt in cases:
@@ -341,8 +334,8 @@ def _trial_loop(experiment, stream, trials, seed, trial):
 
     trial(index, rng) draws the trial's parameters from its own rng, seeded
     from the stream name, and returns (case, attempt); attempt() samples
-    with the same rng and returns (ok, expected, observed).  A sampler that
-    runs out of budget is recorded as a failed case."""
+    with the same rng and returns (ok, expected, observed).  A
+    SamplingError is recorded as a failed case."""
     return _report(
         experiment,
         seed,
@@ -431,7 +424,10 @@ def run_et_closure(a: StandardSet, b: StandardSet, seed: int = 0) -> ExperimentR
 
 def run_et_closure_covers(n_max: int = 6, seed: int = 0) -> ExperimentReport:
     """run_et_closure across every cover of the row merging poset up to
-    n_max, one case per cover."""
+    n_max, one case per cover.
+
+    This realises each leq_et cover by merging lines; it does not show
+    that no other degeneration exists."""
 
     def cases():
         for n in range(2, n_max + 1):
@@ -450,7 +446,11 @@ def run_et_closure_covers(n_max: int = 6, seed: int = 0) -> ExperimentReport:
 def run_punc_consistency(trials: int, n_max: int = 6, seed: int = 0) -> ExperimentReport:
     """Torus limits of origin-supported basin ideals under weights with
     0 < n*v1 <= v2 land in basins above the source in the column
-    breaking order."""
+    breaking order.
+
+    This is a calibration: every one of its seed-0 limits is the monomial
+    ideal of its source's own staircase, so no limit moves strictly up the
+    order."""
 
     def trial(i, rng):
         n = rng.randint(2, n_max)
@@ -538,6 +538,8 @@ def _all_pairs(experiment, n_max, probe):
 
 
 def _duality_probe(a, b):
+    # cross-checks two independent searches through the transpose; this is
+    # not a duality between closure orders
     direct = leq_punc(a, b)
     mirrored = leq_et(b.transpose(), a.transpose())
     return direct == mirrored, str(direct), str(mirrored)

@@ -20,7 +20,7 @@ from .groebner import (
     reduced_groebner_basis,
     torus_limit,
 )
-from .orders import build_poset, incidence_filter, order_function, to_dot, _node_label
+from .orders import build_poset, order_function, to_dot, _node_label
 from .basinlab import SUITES
 from .staircase import StandardSet, c4_sum, enumerate_staircases
 
@@ -65,7 +65,8 @@ MAX_CHECK_BOXES = 200
 
 
 def _cmd_check(args) -> int:
-    leq = incidence_filter if args.order == "filter" else order_function(args.order)
+    # the incidence filter is dominance
+    leq = order_function("dominance" if args.order == "filter" else args.order)
     pair = _read_pair(args)
     if pair is None:
         return 2

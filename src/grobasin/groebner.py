@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import Polynomial, exact, format_polynomial, parse_polynomial
+from .poly import Polynomial, exact, format_polynomial, integer, parse_polynomial
 from .staircase import StandardSet
 
 
@@ -459,11 +459,6 @@ def _monomial_basis(s):
     return ReducedGroebnerBasis(corners, s, quotient)
 
 
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    """Generated by all pairwise products of generators."""
-    return Ideal(tuple(f * g for f in a.generators for g in b.generators))
-
-
 def intersect_comaximal(ideals) -> Ideal:
     """Intersection of pairwise comaximal zero-dimensional ideals.
 
@@ -559,22 +554,7 @@ def tall_point_ideal(height: int, coefficients) -> Ideal:
 
 def _integral(v):
     # the weight as ints; any other entry would make a power of t inexact
-    weight = tuple(int(w) for w in v)
-    if weight != tuple(v):
-        raise ValueError("weights must be integers")
-    return weight
-
-
-def torus_scale(f: Polynomial, t, v) -> Polynomial:
-    """Scale each term by t to the power of its v-weight; t must be nonzero
-    and exact (not a float), and the weights integers."""
-    t = exact(t, "t")
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    v1, v2 = _integral(v)
-    return Polynomial(
-        {e: c * t ** (e[0] * v1 + e[1] * v2) for e, c in f.terms}
-    )
+    return tuple(integer(w, "weights") for w in v)
 
 
 def _initial_form(terms, v):

@@ -168,7 +168,7 @@ def leq_punc(a: StandardSet, b: StandardSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dominance and lexicographic filters
+# dominance
 
 
 def dominance(a: StandardSet, b: StandardSet) -> bool:
@@ -183,34 +183,6 @@ def dominance(a: StandardSet, b: StandardSet) -> bool:
         if sa < sb:
             return False
     return True
-
-
-def _padded(t, length):
-    return t + (0,) * (length - len(t))
-
-
-def lex_rows_leq(a: StandardSet, b: StandardSet) -> bool:
-    """Row tuples compared lexicographically after zero padding."""
-    length = max(a.height, b.height)
-    return _padded(a.rows(), length) <= _padded(b.rows(), length)
-
-
-def lex_cols_geq(a: StandardSet, b: StandardSet) -> bool:
-    """Column tuples compared lexicographically after zero padding."""
-    length = max(a.width, b.width)
-    return _padded(a.cols(), length) >= _padded(b.cols(), length)
-
-
-def incidence_filter(a: StandardSet, b: StandardSet) -> bool:
-    """Necessary condition for the basin of a to touch the basin of b.
-
-    This is dominance(a, b): dominance implies both lex filters.  At the
-    first column where a and b differ the partial sums agree before it, so
-    a's column is the taller one, and lex_cols_geq holds.  Conjugation
-    reverses dominance, so the rows of b dominate those of a and, by the
-    same argument, lex_rows_leq holds.
-    """
-    return dominance(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +260,6 @@ def figure_alg(a: StandardSet, b: StandardSet):
         tuple(sorted(cols_b)),
     )
     return results
-
-
-def leq_punc_via_alg(a: StandardSet, b: StandardSet) -> bool:
-    """Column breaking order decided by the splitting game alone."""
-    if a.cardinality != b.cardinality:
-        return False
-    target = SplitQuadruple(a.cols(), (), b.cols(), ())
-    return target in figure_alg(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,16 @@ def exact(value, name) -> Fraction:
     return Fraction(value)
 
 
-def lex_compare(alpha, beta) -> int:
-    """-1, 0 or 1 as the exponent alpha is below, equal to or above beta."""
-    if alpha == beta:
-        return 0
-    return 1 if alpha > beta else -1
+def integer(value, name) -> int:
+    """value as an int; anything else, such as 2.7 (which int() would
+    truncate), "2" or None, raises ValueError naming the argument."""
+    try:
+        n = int(value)
+        if n == value:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be integers, not {value!r}")
 
 
 class Polynomial:
@@ -42,9 +47,11 @@ class Polynomial:
             if c == 0:
                 continue
             e1, e2 = exp
+            if type(e1) is not int or type(e2) is not int:
+                e1, e2 = integer(e1, "exponents"), integer(e2, "exponents")
             if e1 < 0 or e2 < 0:
                 raise ValueError("exponents must be non-negative")
-            items.append(((int(e1), int(e2)), c))
+            items.append(((e1, e2), c))
         items.sort(reverse=True)
         object.__setattr__(self, "terms", tuple(items))
 

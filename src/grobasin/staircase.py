@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from itertools import zip_longest
 
+from .poly import integer
+
 
 class StandardSet:
     """A staircase, identified by its column heights (a partition).
@@ -23,7 +25,10 @@ class StandardSet:
     __slots__ = ("column_heights", "_rows", "_cardinality")
 
     def __init__(self, column_heights=()):
-        heights = tuple(int(h) for h in column_heights)
+        heights = tuple(
+            h if type(h) is int else integer(h, "column_heights")
+            for h in column_heights
+        )
         if any(h < 0 for h in heights):
             raise ValueError("column heights must be non-negative")
         heights = tuple(h for h in heights if h > 0)
@@ -34,12 +39,13 @@ class StandardSet:
     @classmethod
     def from_columns(cls, heights):
         """Build from column heights given in any order; zeros are dropped."""
-        return cls(sorted((int(h) for h in heights), reverse=True))
+        return cls(sorted((integer(h, "heights") for h in heights), reverse=True))
 
     @classmethod
     def from_rows(cls, widths):
         """Build from row widths given in any order (conjugate reading)."""
-        return cls.from_columns(widths).transpose()
+        widths = sorted((integer(w, "widths") for w in widths), reverse=True)
+        return cls(widths).transpose()
 
     @property
     def cardinality(self) -> int:

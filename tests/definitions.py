@@ -1,0 +1,68 @@
+"""Independent statements of definitions that the tests check the fast code
+against.  The package never calls these; each one writes its object out
+directly rather than by the package's own route."""
+
+from grobasin.groebner import Ideal, _integral
+from grobasin.orders import SplitQuadruple, figure_alg
+from grobasin.poly import Polynomial, exact
+from grobasin.staircase import StandardSet
+
+
+# ---------------------------------------------------------------------------
+# lexicographic filters on staircases
+
+
+def _padded(t, length):
+    return t + (0,) * (length - len(t))
+
+
+def lex_rows_leq(a: StandardSet, b: StandardSet) -> bool:
+    """Row tuples compared lexicographically after zero padding."""
+    length = max(a.height, b.height)
+    return _padded(a.rows(), length) <= _padded(b.rows(), length)
+
+
+def lex_cols_geq(a: StandardSet, b: StandardSet) -> bool:
+    """Column tuples compared lexicographically after zero padding."""
+    length = max(a.width, b.width)
+    return _padded(a.cols(), length) >= _padded(b.cols(), length)
+
+
+# ---------------------------------------------------------------------------
+# the column breaking order from the splitting game alone
+
+
+def leq_punc_via_alg(a: StandardSet, b: StandardSet) -> bool:
+    """Column breaking order decided by the splitting game alone."""
+    if a.cardinality != b.cardinality:
+        return False
+    target = SplitQuadruple(a.cols(), (), b.cols(), ())
+    return target in figure_alg(a, b)
+
+
+# ---------------------------------------------------------------------------
+# ideals, the torus action and the monomial order, term by term
+
+
+def ideal_product(a: Ideal, b: Ideal) -> Ideal:
+    """Generated by all pairwise products of generators."""
+    return Ideal(tuple(f * g for f in a.generators for g in b.generators))
+
+
+def torus_scale(f: Polynomial, t, v) -> Polynomial:
+    """Scale each term by t to the power of its v-weight; t must be nonzero
+    and exact (not a float), and the weights integers."""
+    t = exact(t, "t")
+    if t == 0:
+        raise ValueError("t must be nonzero")
+    v1, v2 = _integral(v)
+    return Polynomial(
+        {e: c * t ** (e[0] * v1 + e[1] * v2) for e, c in f.terms}
+    )
+
+
+def lex_compare(alpha, beta) -> int:
+    """-1, 0 or 1 as the exponent alpha is below, equal to or above beta."""
+    if alpha == beta:
+        return 0
+    return 1 if alpha > beta else -1

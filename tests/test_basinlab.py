@@ -132,8 +132,9 @@ class TestSamplerContracts:
 
 
 class TestRejectionBudget:
-    """A sampler gives up once more than MAX_REJECTIONS candidates have left
-    the target's basin."""
+    """The origin sampler gives up once more than MAX_REJECTIONS candidates
+    have left the target's basin; the axis sampler draws one spread and
+    raises if it leaves the basin."""
 
     def test_origin_sampler_gives_up(self, monkeypatch):
         # seed 3's first substitution on cols(1, 1) leaves the basin, and a
@@ -150,8 +151,9 @@ class TestRejectionBudget:
     @pytest.mark.parametrize("budget", [0, 1, 3])
     def test_axis_sampler_gives_up(self, monkeypatch, budget):
         # every spread of origin samples along the x1-axis lands in the
-        # target's basin (prop1), so the rejected candidates are forced here:
-        # a spread that always returns the wrong staircase
+        # target's basin (prop1), so the off-target spread is forced here;
+        # one is enough, as the sampler does not draw again, whatever the
+        # origin sampler's MAX_REJECTIONS
         spreads = []
 
         def off_target(*args):
@@ -161,10 +163,32 @@ class TestRejectionBudget:
         monkeypatch.setattr(basinlab, "_spread", off_target)
         monkeypatch.setattr(basinlab, "MAX_REJECTIONS", budget)
         with pytest.raises(
-            SamplingError, match=r"^no axis sample for cols\(2, 1\) within budget$"
+            SamplingError, match=r"^axis sample for cols\(2, 1\) left its basin$"
         ):
             basinlab._axis_sample(StandardSet([2, 1]), random.Random(0))
-        assert len(spreads) == budget + 1
+        assert len(spreads) == 1
+
+    def test_axis_sampler_lands_with_one_spread(self, monkeypatch):
+        # prop1: the single spread lands on the target for every staircase
+        # of 2 to 7 boxes at seeds 0 to 4
+        spread = basinlab._spread
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return spread(*args)
+
+        monkeypatch.setattr(basinlab, "_spread", counted)
+        draws = 0
+        for n in range(2, 8):
+            for target in enumerate_staircases(n):
+                for seed in range(5):
+                    calls.clear()
+                    sample = basinlab._axis_sample(target, random.Random(seed))
+                    assert len(calls) == 1, (target.cols(), seed)
+                    assert groebner.staircase_of(sample) == target
+                    draws += 1
+        assert draws == 215
 
 
 class TestStaircaseDraw:

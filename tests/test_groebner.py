@@ -15,7 +15,6 @@ from grobasin.groebner import (
     NotZeroDimensional,
     ReducedGroebnerBasis,
     format_ideal,
-    ideal_product,
     intersect_comaximal,
     monomial_ideal,
     normal_form,
@@ -28,13 +27,14 @@ from grobasin.groebner import (
     supported_on_line,
     tall_point_ideal,
     torus_limit,
-    torus_scale,
     vanishing_ideal,
 )
 from grobasin.groebner import _quotient, _substituted, _unwalked
 from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.poly import Polynomial, X1, X2, parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, cell_dimensions, enumerate_staircases
+
+from definitions import ideal_product, torus_scale
 
 
 def P(text):

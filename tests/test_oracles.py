@@ -26,7 +26,6 @@ from grobasin.groebner import (
     _quotient,
     _walk,
     _weight_key,
-    ideal_product,
     intersect_comaximal,
     monomial_ideal,
     point_ideal,
@@ -38,6 +37,8 @@ from grobasin.groebner import (
 )
 from grobasin.poly import X1, X2, Polynomial
 from grobasin.staircase import StandardSet, enumerate_staircases
+
+from definitions import ideal_product
 
 
 def _rat(rng, bound=5):

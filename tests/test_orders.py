@@ -26,16 +26,14 @@ from grobasin.orders import (
     et_row_partition,
     figure_alg,
     find_certificate,
-    incidence_filter,
     leq_et,
     leq_punc,
-    leq_punc_via_alg,
-    lex_cols_geq,
-    lex_rows_leq,
     order_function,
     to_dot,
 )
 from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
+
+from definitions import leq_punc_via_alg, lex_cols_geq, lex_rows_leq
 
 # the memoised searches of the two orders
 _SEARCHES = (_fill_blocks, _break_columns, _sub_removals, _height_counts)
@@ -165,17 +163,22 @@ class TestRefinementAndDuality:
             sts = enumerate_staircases(n)
             for a, b in itertools.product(sts, sts):
                 if leq_et(a, b) or leq_punc(a, b):
-                    assert incidence_filter(a, b)
+                    assert dominance(a, b) and lex_rows_leq(a, b) and lex_cols_geq(a, b)
 
     def test_filter_is_dominance_up_to_16(self):
-        # the lex filters follow from dominance, so the old conjunction
-        # and the filter agree on every same-size pair
+        # The incidence filter (`check filter`) is dominance, because
+        # dominance implies both lex filters.  At the first column where a
+        # and b differ the partial sums agree before it, so a's column is
+        # the taller one, and lex_cols_geq holds.  Conjugation reverses
+        # dominance, so the rows of b dominate those of a and, by the same
+        # argument, lex_rows_leq holds.  So the full conjunction and
+        # dominance agree on every same-size pair
         pairs = 0
         for n in range(17):
             sts = enumerate_staircases(n)
             for a, b in itertools.product(sts, sts):
                 old = dominance(a, b) and lex_rows_leq(a, b) and lex_cols_geq(a, b)
-                assert incidence_filter(a, b) == old, (a.cols(), b.cols())
+                assert dominance(a, b) == old, (a.cols(), b.cols())
                 pairs += 1
         assert pairs == 125411
 
@@ -201,8 +204,8 @@ class TestNonExample:
     def test_frozen_quadruple(self):
         assert leq_punc(NONEX_A, NONEX_B) is True
         assert leq_et(NONEX_A, NONEX_B) is False
-        assert incidence_filter(NONEX_A, NONEX_B) is True
-        assert incidence_filter(NONEX_B, NONEX_A) is False
+        assert dominance(NONEX_A, NONEX_B) is True
+        assert dominance(NONEX_B, NONEX_A) is False
 
     def test_lex_components(self):
         assert lex_rows_leq(NONEX_A, NONEX_B)
@@ -468,7 +471,7 @@ class TestCertificates:
                 cert = find_certificate(a, b)
                 if cert is not None:
                     assert check_certificate(cert, a, b)
-                    assert incidence_filter(a, b)
+                    assert dominance(a, b)
 
     def test_search_none_on_size_mismatch(self):
         assert find_certificate(StandardSet([1]), StandardSet([2])) is None

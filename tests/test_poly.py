@@ -10,9 +10,10 @@ from grobasin.poly import (
     X1,
     X2,
     format_polynomial,
-    lex_compare,
     parse_polynomial,
 )
+
+from definitions import lex_compare
 
 
 class TestLexCompare:
@@ -194,6 +195,15 @@ class TestExactInputs:
         with pytest.raises(ValueError, match="^coeffs must be exact, not the float 0.1$"):
             Polynomial({(1, 0): 0.1})
         assert Polynomial({(1, 0): "1/10"}) == Polynomial({(1, 0): Fraction(1, 10)})
+
+    def test_constructor_rejects_non_integer_exponents(self):
+        # int() would truncate x1^1.5 to x1
+        for exp in [(1.5, 0), (0, Fraction(3, 2)), (None, 0)]:
+            with pytest.raises(ValueError, match=r"^exponents must be integers, not "):
+                Polynomial({exp: 1})
+            with pytest.raises(ValueError, match=r"^exponents must be integers, not "):
+                Polynomial.monomial(exp)
+        assert Polynomial({(Fraction(1), 2.0): 1}) == X1 * X2**2
 
     def test_constant_rejects_floats(self):
         with pytest.raises(ValueError, match="^c must be exact, not the float 0.1$"):

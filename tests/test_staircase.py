@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +68,23 @@ class TestConstruction:
         s = StandardSet.from_rows([3, 1])
         assert s.rows() == (3, 1)
         assert s.cols() == (2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (StandardSet, "column_heights"),
+            (StandardSet.from_columns, "heights"),
+            (StandardSet.from_rows, "widths"),
+        ],
+    )
+    def test_non_integers_rejected(self, build, name):
+        # int() would truncate 2.7 to 2 and Fraction(5, 2) to 2
+        for bad in [2.7, Fraction(5, 2), "2", "x", None, float("inf")]:
+            with pytest.raises(
+                ValueError, match=f"^{name} must be integers, not {re.escape(repr(bad))}$"
+            ):
+                build([bad, 1])
+        assert build([2.0, Fraction(1)]) == build([2, 1])
 
     def test_empty(self):
         assert EMPTY.cols() == ()
