@@ -546,12 +546,16 @@ def _duality_probe(a, b):
 
 
 def _refinement_probe(a, b):
+    """Both orders imply dominance.  This holds by construction: leq_et
+    and leq_punc each begin with dominance and answer no when it fails."""
     if (leq_et(a, b) or leq_punc(a, b)) and not dominance(a, b):
         return False, "dominance to follow", "dominance fails"
     return True, "", ""
 
 
 def _splitting_game_probe(a, b):
+    """What this tests is that the game decides leq_punc; its conservation
+    check holds by construction, as c1 + c2 is each column's height."""
     # one exploration of the game serves both the order and the terminals
     quads = figure_alg(a, b)
     via_alg = SplitQuadruple(a.cols(), (), b.cols(), ()) in quads

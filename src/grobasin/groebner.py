@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import Polynomial, exact, format_polynomial, integer, parse_polynomial
+from .poly import Polynomial, coordinates, exact, format_polynomial, integer, parse_polynomial
 from .staircase import StandardSet
 
 
@@ -508,9 +508,9 @@ def vanishing_ideal(points) -> Ideal:
     so the walk eliminates sparse vectors.  The lines go by ascending
     point count (ties in order of first appearance): the walk pivots on
     the largest index, and the long lines, whose N_a the high powers of x1
-    reach, come last.  Coordinates are ints, Fractions or strings; a float
-    raises ValueError."""
-    pts = [(exact(p[0], "coordinates"), exact(p[1], "coordinates")) for p in points]
+    reach, come last.  A point is a tuple or list of two ints, Fractions or
+    strings; anything else, a float too, raises ValueError."""
+    pts = [coordinates(p, "coordinates") for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     if not pts:
@@ -677,6 +677,8 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
     lex walk gives the basis the result carries.  When p(M_other) is zero
     nothing moves, and the result carries the input's basis unwalked.
     """
+    if not isinstance(index, int) or index not in (1, 2):
+        raise ValueError("index must be 1 or 2")
     if any(e[index - 1] for e, _ in p.terms):
         raise ValueError(f"p must not involve x{index}")
     gb = _zero_dimensional(reduced_groebner_basis(ideal))

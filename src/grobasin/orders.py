@@ -3,7 +3,8 @@
 Two orders drive everything here: one merges rows (horizontal collisions),
 the other breaks columns into vertical pieces.  They are exchanged by
 transposition, which the test suite exploits as a cross-check; the two
-implementations below deliberately share no search code.
+searches below still share no code, and the cancellation before both is
+one helper, _unshared.
 """
 
 from __future__ import annotations
@@ -15,8 +16,31 @@ from functools import lru_cache
 from .staircase import StandardSet, enumerate_staircases, sum1, sum2
 
 
+def _unshared(x, y):
+    # what is left of the descending tuples x and y once each value they
+    # share cancels, one merge walk giving two descending tuples
+    left_x, left_y = [], []
+    i = j = 0
+    while i < len(x) and j < len(y):
+        if x[i] == y[j]:
+            i += 1
+            j += 1
+        elif x[i] > y[j]:
+            left_x.append(x[i])
+            i += 1
+        else:
+            left_y.append(y[j])
+            j += 1
+    return tuple(left_x) + x[i:], tuple(left_y) + y[j:]
+
+
 # ---------------------------------------------------------------------------
 # row merging order
+
+
+def _placed(caps, k, p):
+    # the caps with the piece p taken from cap k, descending
+    return tuple(sorted([*caps[:k], caps[k] - p, *caps[k + 1:]], reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -25,13 +49,11 @@ def _fill_blocks(pieces, caps):
     if not pieces:
         return all(c == 0 for c in caps)
     p = pieces[0]
-    tried = set()
+    # equal caps are adjacent, and only the first of each is tried
     for k, c in enumerate(caps):
-        if c < p or c in tried:
+        if c < p or k and c == caps[k - 1]:
             continue
-        tried.add(c)
-        rest = tuple(sorted(caps[:k] + (c - p,) + caps[k + 1:], reverse=True))
-        if _fill_blocks(pieces[1:], rest):
+        if _fill_blocks(pieces[1:], _placed(caps, k, p)):
             return True
     return False
 
@@ -53,23 +75,7 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
     # the k widest rows of a lie in at most k blocks, so the k widest rows
     # of b hold at least their sum: merging can only raise the row partial
     # sums, which by conjugation is dominance(a, b)
-    if not dominance(a, b):
-        return False
-    # one merge walk over the two descending row tuples
-    ra, rb = a.rows(), b.rows()
-    pieces, caps = [], []
-    i = j = 0
-    while i < len(ra) and j < len(rb):
-        if ra[i] == rb[j]:
-            i += 1
-            j += 1
-        elif ra[i] > rb[j]:
-            pieces.append(ra[i])
-            i += 1
-        else:
-            caps.append(rb[j])
-            j += 1
-    return _fill_blocks(tuple(pieces) + ra[i:], tuple(caps) + rb[j:])
+    return dominance(a, b) and _fill_blocks(*_unshared(a.rows(), b.rows()))
 
 
 def et_row_partition(a: StandardSet, b: StandardSet):
@@ -82,8 +88,7 @@ def et_row_partition(a: StandardSet, b: StandardSet):
     blocks = [[] for _ in caps]
     for i, p in enumerate(pieces):
         for k, c in enumerate(caps):
-            rest = tuple(sorted(caps[:k] + [c - p] + caps[k + 1:], reverse=True))
-            if c >= p and _fill_blocks(pieces[i + 1:], rest):
+            if c >= p and _fill_blocks(pieces[i + 1:], _placed(caps, k, p)):
                 break
         caps[k] -= p
         blocks[k].append(p)
@@ -94,15 +99,12 @@ def et_row_partition(a: StandardSet, b: StandardSet):
 # column breaking order
 
 
-@lru_cache(maxsize=None)
 def _sub_removals(avail, need):
-    # avail: tuple of (height, count) with heights desc; returns the avail
+    # avail: tuple of (height, count) with heights desc; yields the avail
     # tuples left over after removing a sub-multiset summing exactly to need
     def go(i, left, acc):
         if left == 0:
-            yield tuple(
-                (h, c) for (h, c) in acc + list(avail[i:]) if c > 0
-            )
+            yield tuple((h, c) for (h, c) in acc + list(avail[i:]) if c > 0)
             return
         if i == len(avail):
             return
@@ -110,7 +112,7 @@ def _sub_removals(avail, need):
         for take in range(min(c, left // h), -1, -1):
             yield from go(i + 1, left - take * h, acc + [(h, c - take)])
 
-    return tuple(go(0, need, []))
+    return go(0, need, [])
 
 
 @lru_cache(maxsize=None)
@@ -148,23 +150,10 @@ def leq_punc(a: StandardSet, b: StandardSet) -> bool:
     # breaking can only lower the column partial sums: dominance(a, b)
     if not dominance(a, b):
         return False
-    # one merge walk over the two descending column tuples; what is left of
-    # b is grouped by the cached _height_counts, so equal leftovers share
-    # one tuple across the cache entries that hold them
-    ca, cb = a.cols(), b.cols()
-    targets, rest = [], []
-    i = j = 0
-    while i < len(ca) and j < len(cb):
-        if ca[i] == cb[j]:
-            i += 1
-            j += 1
-        elif ca[i] > cb[j]:
-            targets.append(ca[i])
-            i += 1
-        else:
-            rest.append(cb[j])
-            j += 1
-    return _break_columns(tuple(targets) + ca[i:], _height_counts(tuple(rest) + cb[j:]))
+    # what is left of b is grouped by the cached _height_counts, so equal
+    # leftovers share one tuple across the cache entries that hold them
+    targets, rest = _unshared(a.cols(), b.cols())
+    return _break_columns(targets, _height_counts(rest))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +255,7 @@ def figure_alg(a: StandardSet, b: StandardSet):
 # posets
 
 
-_ORDERS = {}
+_ORDERS = {"et": leq_et, "punc": leq_punc, "dominance": dominance}
 
 
 def _named(table, name):
@@ -672,6 +661,3 @@ def _shape_and_factors(dec):
 def _build_certificate(dec_a, dec_b, box_map):
     (shape, per_box), (shape_p, per_box_p) = map(_shape_and_factors, (dec_a, dec_b))
     return IncidenceCertificate(shape, shape_p, box_map, per_box, per_box_p)
-
-
-_ORDERS.update({"et": leq_et, "punc": leq_punc, "dominance": dominance})

@@ -23,6 +23,13 @@ def exact(value, name) -> Fraction:
     return Fraction(value)
 
 
+def coordinates(point, name) -> tuple:
+    """point, a tuple or list of two exact coordinates, as two Fractions."""
+    if not isinstance(point, (tuple, list)) or len(point) != 2:
+        raise ValueError(f"{name} must be two numbers in a tuple or list, not {point!r}")
+    return exact(point[0], name), exact(point[1], name)
+
+
 def integer(value, name) -> int:
     """value as an int; anything else, such as 2.7 (which int() would
     truncate), "2" or None, raises ValueError naming the argument."""
@@ -175,7 +182,7 @@ class Polynomial:
         return out
 
     def evaluate(self, point) -> Fraction:
-        p1, p2 = exact(point[0], "point"), exact(point[1], "point")
+        p1, p2 = coordinates(point, "point")
         total = Fraction(0)
         for (a, b), c in self.terms:
             total += c * p1**a * p2**b

@@ -191,6 +191,28 @@ class TestDeferredSubstitution:
         assert shifted == Ideal((X2**2, X1 + X2))
         assert walks == []
 
+    # the index is checked first, before p and before the ideal is read
+    TWO_POINTS = vanishing_ideal([(1, 2), (3, 4)])
+
+    def test_index_3_with_zero_p_is_rejected(self):
+        with pytest.raises(ValueError, match="^index must be 1 or 2$"):
+            substitute(self.TWO_POINTS, 3, Polynomial.zero())
+
+    def test_index_0_with_x2_is_rejected(self):
+        with pytest.raises(ValueError, match="^index must be 1 or 2$"):
+            substitute(self.TWO_POINTS, 0, X2)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_index_out_of_range_with_x1_is_rejected(self, index):
+        with pytest.raises(ValueError, match="^index must be 1 or 2$"):
+            substitute(self.TWO_POINTS, index, X1)
+
+    def test_float_index_is_rejected(self):
+        with pytest.raises(ValueError, match="^index must be 1 or 2$"):
+            substitute(self.TWO_POINTS, 1.0, X2)
+        # the int index still moves the points (1, 2), (3, 4) by -x2
+        assert substitute(self.TWO_POINTS, 1, X2) == vanishing_ideal([(-1, 2), (-1, 4)])
+
     def test_a_wrong_carried_staircase_raises_when_walked(self):
         quotient = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([2, 1]))))
         claim = Ideal(_unwalked(StandardSet([3]), quotient))
@@ -478,6 +500,21 @@ class TestPointsAndIntersections:
             vanishing_ideal([(0, 0), (0.1, 0)])
         exact = vanishing_ideal([(0, 0), ("1/10", 0)])
         assert exact.generators == (P("x2"), P("x1^2 - 1/10*x1"))
+
+    # a point is a tuple or list of exactly two coordinates; a string is
+    # not read character by character, and no coordinate is dropped
+    def test_vanishing_ideal_rejects_string_points(self):
+        with pytest.raises(ValueError, match="^coordinates must be two numbers .* not '12'$"):
+            vanishing_ideal(["12", "34"])
+        assert vanishing_ideal([[1, 2], (3, 4)]) == vanishing_ideal([(1, 2), (3, 4)])
+
+    def test_point_ideal_rejects_a_triple(self):
+        with pytest.raises(ValueError, match=r"^coordinates must be .* not \(1, 2, 3\)$"):
+            point_ideal((1, 2, 3))
+
+    def test_vanishing_ideal_rejects_a_single_coordinate(self):
+        with pytest.raises(ValueError, match=r"^coordinates must be two numbers .* not \(1,\)$"):
+            vanishing_ideal([(1,)])
 
     def test_vanishing_ideal_rejects_duplicates(self):
         with pytest.raises(ValueError):

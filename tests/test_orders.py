@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import time
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
+from grobasin import orders
 from grobasin.orders import (
     IncidenceCertificate,
     SplitQuadruple,
@@ -19,7 +21,7 @@ from grobasin.orders import (
     _multiset_partitions,
     _perfect_match,
     _signed_decompositions,
-    _sub_removals,
+    _unshared,
     build_poset,
     check_certificate,
     dominance,
@@ -36,7 +38,7 @@ from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
 from definitions import leq_punc_via_alg, lex_cols_geq, lex_rows_leq
 
 # the memoised searches of the two orders
-_SEARCHES = (_fill_blocks, _break_columns, _sub_removals, _height_counts)
+_SEARCHES = (_fill_blocks, _break_columns, _height_counts)
 
 
 def index_partitions(k):
@@ -814,6 +816,19 @@ class TestScalingBudgets:
         }
         assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"
 
+    def test_punc_sweep_at_n20_within_budget(self):
+        # leq_punc on all 393129 ordered pairs from cold search caches;
+        # the count of true answers as recorded before the removal search
+        # lost its memo
+        for search in _SEARCHES:
+            search.cache_clear()
+        sts = enumerate_staircases(20)
+        start = time.perf_counter()
+        held = sum(leq_punc(a, b) for a, b in itertools.product(sts, sts))
+        elapsed = time.perf_counter() - start
+        assert held == 93294
+        assert elapsed < 3, f"took {elapsed:.1f}s, budget 3s"
+
 
 class TestCancelledSearchMemo:
     # leq_et and leq_punc cancel the parts a and b share before the
@@ -838,4 +853,43 @@ class TestCancelledSearchMemo:
         for search in _SEARCHES:
             search.cache_clear()
         build_poset(16, order)
-        assert [search.cache_info().currsize for search in _SEARCHES] == [0, 0, 0, 0]
+        assert [search.cache_info().currsize for search in _SEARCHES] == [0, 0, 0]
+
+    @pytest.mark.parametrize("reading", [StandardSet.rows, StandardSet.cols])
+    def test_unshared_leaves_no_common_value(self, reading):
+        # for every ordered pair with n <= 12 the leftovers are descending,
+        # share no value, and give back the inputs with the shared part
+        for n in range(13):
+            sts = enumerate_staircases(n)
+            for a, b in itertools.product(sts, sts):
+                x, y = reading(a), reading(b)
+                left_x, left_y = _unshared(x, y)
+                assert not set(left_x) & set(left_y)
+                shared = Counter(x) & Counter(y)
+                assert Counter(left_x) + shared == Counter(x)
+                assert Counter(left_y) + shared == Counter(y)
+                for left in (left_x, left_y):
+                    assert list(left) == sorted(left, reverse=True)
+
+    def test_removals_in_recorded_order_at_n12(self, monkeypatch):
+        # every (avail, need) that a cold leq_punc sweep at n = 12 asks of
+        # _sub_removals, with all the removals in the order they come,
+        # hashed as recorded when the removals were a memoised tuple
+        search = orders._sub_removals
+        digest = hashlib.sha256()
+        calls = 0
+
+        def recorded(avail, need):
+            nonlocal calls
+            calls += 1
+            removals = tuple(search(avail, need))
+            digest.update(repr((avail, need, removals)).encode())
+            return removals
+
+        _break_columns.cache_clear()
+        monkeypatch.setattr(orders, "_sub_removals", recorded)
+        sts = enumerate_staircases(12)
+        for a, b in itertools.product(sts, sts):
+            leq_punc(a, b)
+        _break_columns.cache_clear()
+        assert (calls, digest.hexdigest()[:16]) == (1213, "bf809ad89820cfa1")

@@ -227,6 +227,11 @@ class TestExactInputs:
                 p.evaluate(point)
         assert p.evaluate(("1/2", 3)) == Fraction(5, 2)
 
+    def test_evaluate_rejects_a_triple(self):
+        with pytest.raises(ValueError, match=r"^point must be two numbers .* not \(2, 3, 99\)$"):
+            X1.evaluate((2, 3, 99))
+        assert X1.evaluate([2, 3]) == 2
+
 
 class TestConstants:
     def test_generators(self):
