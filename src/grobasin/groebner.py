@@ -13,7 +13,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .poly import Polynomial, coordinates, exact, format_polynomial, integer, parse_polynomial
+from .poly import (
+    Polynomial,
+    coordinates,
+    exact,
+    format_polynomial,
+    integer,
+    one_or_two,
+    parse_polynomial,
+)
 from .staircase import StandardSet
 
 
@@ -640,6 +648,12 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
     staircase cardinality differs from the input's, the limit left the
     Hilbert scheme and LimitDoesNotExist is raised.  The weights must be
     integers.
+
+    Support at the origin is stronger than existence.  The Hilbert-Chow
+    map is proper, so the limit exists exactly when every support point
+    has x_i = 0 wherever v_i > 0.  The ideal of (0, 1) and (0, 2) at
+    v = (1, 0) raises LimitDoesNotExist, though that flow fixes it; one
+    flat-limit engine for any family is item 5 of ROADMAP.md.
     """
     v1, v2 = _integral(v)
     gb = _zero_dimensional(reduced_groebner_basis(ideal))
@@ -677,8 +691,7 @@ def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:
     lex walk gives the basis the result carries.  When p(M_other) is zero
     nothing moves, and the result carries the input's basis unwalked.
     """
-    if not isinstance(index, int) or index not in (1, 2):
-        raise ValueError("index must be 1 or 2")
+    one_or_two(index, "index")
     if any(e[index - 1] for e, _ in p.terms):
         raise ValueError(f"p must not involve x{index}")
     gb = _zero_dimensional(reduced_groebner_basis(ideal))

@@ -38,11 +38,6 @@ def _unshared(x, y):
 # row merging order
 
 
-def _placed(caps, k, p):
-    # the caps with the piece p taken from cap k, descending
-    return tuple(sorted([*caps[:k], caps[k] - p, *caps[k + 1:]], reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _fill_blocks(pieces, caps):
     # pieces: desc tuple still to place; caps: desc tuple of open capacities
@@ -53,7 +48,8 @@ def _fill_blocks(pieces, caps):
     for k, c in enumerate(caps):
         if c < p or k and c == caps[k - 1]:
             continue
-        if _fill_blocks(pieces[1:], _placed(caps, k, p)):
+        rest = tuple(sorted([*caps[:k], c - p, *caps[k + 1:]], reverse=True))
+        if _fill_blocks(pieces[1:], rest):
             return True
     return False
 
@@ -76,23 +72,6 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
     # of b hold at least their sum: merging can only raise the row partial
     # sums, which by conjugation is dominance(a, b)
     return dominance(a, b) and _fill_blocks(*_unshared(a.rows(), b.rows()))
-
-
-def et_row_partition(a: StandardSet, b: StandardSet):
-    """A witness for leq_et: per row of b, the multiset of rows of a merged
-    into it.  Returns a tuple aligned with b.rows(), or None.  Each row of
-    a goes into the first row of b that _fill_blocks can still complete."""
-    if not leq_et(a, b):
-        return None
-    pieces, caps = a.rows(), list(b.rows())
-    blocks = [[] for _ in caps]
-    for i, p in enumerate(pieces):
-        for k, c in enumerate(caps):
-            if c >= p and _fill_blocks(pieces[i + 1:], _placed(caps, k, p)):
-                break
-        caps[k] -= p
-        blocks[k].append(p)
-    return tuple(tuple(blk) for blk in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +387,19 @@ def to_dot(poset: PosetData, name: str = "poset") -> str:
 
 @dataclass
 class IncidenceCertificate:
-    """Witness that the closure of one basin can meet another.
+    """Factors of a and b on horizontal lines, matched one to one.
 
-    lambda_shape groups the punctual factors of the left staircase onto
-    horizontal lines (one row per line, one box per factor);
-    lambda_prime_shape does the same on the right.  box_map matches
-    factors so that whole rows of lambda_shape land in single rows of
-    lambda_prime_shape, and every factor only breaks columns on the
-    way."""
+    lambda_shape has one row per line and one box per factor of a
+    (per_box); lambda_prime_shape and per_box_prime do the same for b.
+    check_certificate verifies all that a certificate shows: each
+    staircase is the direction-2 sum over its lines of the direction-1
+    sum of their factors; box_map is a bijection sending each line of a
+    into one line of b, so the lines merge as in leq_et; and each factor
+    breaks columns into its image's factor (leq_punc).  That implies
+    dominance(a, b), but is not necessary for closure: eight points on
+    lines of 4, 2 and 2, staircase (3,3,1,1), have a torus limit at
+    (-1, -3) in (2,2,2,1,1), a pair with no certificate.  Whether a
+    certificate suffices for closure is untested."""
 
     lambda_shape: StandardSet
     lambda_prime_shape: StandardSet
@@ -468,8 +452,9 @@ def check_certificate(
         return False
     if assembled(cert.lambda_prime_shape, cert.per_box_prime) != b:
         return False
-    if not leq_et(cert.lambda_shape, cert.lambda_prime_shape):
-        return False
+    # no leq_et check is needed: a bijection that keeps each row of
+    # lambda_shape inside one row of lambda_prime_shape makes the rows of
+    # lambda_prime_shape sums of blocks of the rows of lambda_shape
     for box in boxes:
         left = cert.per_box[box]
         right = cert.per_box_prime[cert.box_map[box]]

@@ -42,6 +42,14 @@ def integer(value, name) -> int:
     raise ValueError(f"{name} must be integers, not {value!r}")
 
 
+def one_or_two(value, name) -> int:
+    """value, which must be the int 1 or 2; a bool or a float such as 1.0,
+    though equal to one of them, raises ValueError naming the argument."""
+    if type(value) is int and value in (1, 2):
+        return value
+    raise ValueError(f"{name} must be 1 or 2")
+
+
 class Polynomial:
     __slots__ = ("terms",)
 
@@ -72,11 +80,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int):
-        if index == 1:
+        if one_or_two(index, "variable index") == 1:
             return cls({(1, 0): 1})
-        if index == 2:
-            return cls({(0, 1): 1})
-        raise ValueError("variable index must be 1 or 2")
+        return cls({(0, 1): 1})
 
     @classmethod
     def monomial(cls, exp, coeff=1):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .poly import integer
+from .poly import integer, one_or_two
 
 
 class StandardSet:
@@ -164,11 +164,9 @@ def c4_sum(a: StandardSet, b: StandardSet, direction: int) -> StandardSet:
     Direction 1 drops the columns of both staircases into one board and
     re-sorts; direction 2 does the same with rows.
     """
-    if direction == 1:
+    if one_or_two(direction, "direction") == 1:
         return sum1((a, b))
-    if direction == 2:
-        return sum2((a, b))
-    raise ValueError("direction must be 1 or 2")
+    return sum2((a, b))
 
 
 def sum1(staircases) -> StandardSet:

@@ -29,6 +29,38 @@ def lex_cols_geq(a: StandardSet, b: StandardSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# a witness of the row merging order, by plain backtracking
+
+
+def et_row_partition(a: StandardSet, b: StandardSet):
+    """A witness that b arises from a by merging rows: per row of b, the
+    rows of a merged into it, as a tuple aligned with b.rows(), or None
+    when there is none.  Each row of a, widest first, goes into the first
+    row of b with room for it from which the remaining rows still fit."""
+    if a.cardinality != b.cardinality:
+        return None
+    pieces, room = a.rows(), list(b.rows())
+    blocks = [[] for _ in room]
+
+    def place(i):
+        # the cardinalities agree, so once every piece is placed no room
+        # is left
+        if i == len(pieces):
+            return True
+        for k, left in enumerate(room):
+            if left >= pieces[i]:
+                room[k] -= pieces[i]
+                blocks[k].append(pieces[i])
+                if place(i + 1):
+                    return True
+                room[k] += pieces[i]
+                blocks[k].pop()
+        return False
+
+    return tuple(map(tuple, blocks)) if place(0) else None
+
+
+# ---------------------------------------------------------------------------
 # the column breaking order from the splitting game alone
 
 

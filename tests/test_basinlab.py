@@ -23,7 +23,13 @@ from grobasin.basinlab import (
     sample_basin_ideal,
 )
 from grobasin import groebner
-from grobasin.groebner import normal_form, reduced_groebner_basis, supported_on_line
+from grobasin.groebner import (
+    normal_form,
+    reduced_groebner_basis,
+    supported_on_line,
+    vanishing_ideal,
+)
+from grobasin.orders import build_poset
 from grobasin.poly import Polynomial, parse_polynomial
 from grobasin.staircase import StandardSet, enumerate_staircases
 
@@ -335,33 +341,35 @@ class TestSuitesSmall:
         with pytest.raises(ValueError):
             run_et_closure(StandardSet([3, 1]), StandardSet([4]))
 
-    def test_et_closure_persistent_collisions(self, monkeypatch):
-        # every draw repeats its abscissas, so merged rows always collide
-        monkeypatch.setattr(
-            basinlab,
-            "_distinct_fractions",
-            lambda rng, count: [Fraction(k) for k in range(count)],
-        )
-        message = "SamplingError: persistent point collisions while merging"
-        report = run_et_closure(StandardSet([2]), StandardSet([1, 1]))
-        assert (report.cases_run, report.cases_passed) == (1, 0)
-        assert report.failures == (("cols(2)->cols(1,1)", "a sample", message),)
-        covers = run_et_closure_covers(3)
-        assert (covers.cases_run, covers.cases_passed) == (3, 0)
-        assert covers.failures == tuple(
-            (case, "a sample", message)
-            for case in (
-                "n=2 cols(2)->cols(1,1)",
-                "n=3 cols(3)->cols(2,1)",
-                "n=3 cols(2,1)->cols(1,1,1)",
-            )
-        )
-
     def test_et_closure_covers(self):
         report = run_et_closure_covers(4, seed=0)
         # cover counts: n=2 has 1, n=3 has 2, n=4 has 5
         assert report.cases_run == 8
         assert report.passed
+
+    def test_et_closure_draws_one_free_sample_of_each_target(self, monkeypatch):
+        # no retry: each cover a -> b is one free sample of b
+        drawn = []
+        free_sample = basinlab._free_sample
+
+        def recorded(target, rng):
+            drawn.append(target)
+            return free_sample(target, rng)
+
+        monkeypatch.setattr(basinlab, "_free_sample", recorded)
+        report = run_et_closure_covers(4)
+        posets = [build_poset(n, "et") for n in (2, 3, 4)]
+        assert report.passed
+        assert drawn == [p.elements[j] for p in posets for _, j in p.covers]
+
+    def test_et_closure_records_a_sample_off_its_target(self, monkeypatch):
+        # a sample that left b is a failed case naming both staircases
+        monkeypatch.setattr(
+            basinlab, "_free_sample", lambda target, rng: vanishing_ideal([(0, 0), (0, 1)])
+        )
+        report = run_et_closure(StandardSet([2]), StandardSet([1, 1]))
+        assert (report.cases_run, report.cases_passed) == (1, 0)
+        assert report.failures == (("cols(2)->cols(1,1)", "cols(1,1)", "cols(2)"),)
 
     def test_single_column_validates_n(self):
         with pytest.raises(ValueError):

@@ -213,6 +213,11 @@ class TestDeferredSubstitution:
         # the int index still moves the points (1, 2), (3, 4) by -x2
         assert substitute(self.TWO_POINTS, 1, X2) == vanishing_ideal([(-1, 2), (-1, 4)])
 
+    def test_bool_index_is_rejected(self):
+        # True == 1, but only the ints 1 and 2 are indices
+        with pytest.raises(ValueError, match="^index must be 1 or 2$"):
+            substitute(self.TWO_POINTS, True, X2)
+
     def test_a_wrong_carried_staircase_raises_when_walked(self):
         quotient = _quotient(reduced_groebner_basis(monomial_ideal(StandardSet([2, 1]))))
         claim = Ideal(_unwalked(StandardSet([3]), quotient))
@@ -861,6 +866,14 @@ class TestTorusLimit:
         ideal = vanishing_ideal([(1, 0), (0, 1)])
         with pytest.raises(LimitDoesNotExist):
             torus_limit(ideal, (1, 1))
+
+    def test_positive_weight_refuses_a_limit_that_exists(self):
+        # the flow at (1, 0) fixes the points (0, 1) and (0, 2), so the
+        # limit exists, but a positive weight needs support at the origin;
+        # pinned as documented, until one flat-limit engine returns it
+        ideal = vanishing_ideal([(0, 1), (0, 2)])
+        with pytest.raises(LimitDoesNotExist, match="not supported at the origin$"):
+            torus_limit(ideal, (1, 0))
 
     def test_not_zero_dimensional(self):
         with pytest.raises(NotZeroDimensional):

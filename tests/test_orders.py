@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import time
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from grobasin import orders
+from grobasin.groebner import reduced_groebner_basis, staircase_of, torus_limit, vanishing_ideal
 from grobasin.orders import (
     IncidenceCertificate,
     SplitQuadruple,
@@ -25,7 +27,6 @@ from grobasin.orders import (
     build_poset,
     check_certificate,
     dominance,
-    et_row_partition,
     figure_alg,
     find_certificate,
     leq_et,
@@ -33,9 +34,10 @@ from grobasin.orders import (
     order_function,
     to_dot,
 )
+from grobasin.poly import parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
 
-from definitions import leq_punc_via_alg, lex_cols_geq, lex_rows_leq
+from definitions import et_row_partition, leq_punc_via_alg, lex_cols_geq, lex_rows_leq
 
 # the memoised searches of the two orders
 _SEARCHES = (_fill_blocks, _break_columns, _height_counts)
@@ -217,15 +219,18 @@ class TestNonExample:
 
 
 class TestRowPartitionWitness:
+    # et_row_partition is the backtracking search of tests/definitions.py,
+    # which shares no code with leq_et; up to n = 12 so that a search that
+    # only ever fills the widest open row, first wrong at n = 10, shows
     def test_witness_exists_iff_related(self):
-        for n in range(1, 7):
+        for n in range(1, 13):
             sts = enumerate_staircases(n)
             for a, b in itertools.product(sts, sts):
                 witness = et_row_partition(a, b)
                 assert (witness is not None) == leq_et(a, b)
 
     def test_witness_blocks_reassemble(self):
-        for n in range(1, 7):
+        for n in range(1, 13):
             sts = enumerate_staircases(n)
             for a, b in itertools.product(sts, sts):
                 witness = et_row_partition(a, b)
@@ -242,6 +247,12 @@ class TestRowPartitionWitness:
         whole = StandardSet.from_rows([5])
         assert et_row_partition(a, whole) == ((3, 2),)
         assert et_row_partition(a, a) == ((3,), (2,))
+
+    def test_witness_that_filling_the_widest_row_misses(self):
+        # rows (3,3,2,2) merge into (6,4) only as 3+3 and 2+2
+        a, b = StandardSet.from_rows([3, 3, 2, 2]), StandardSet.from_rows([6, 4])
+        assert leq_et(a, b)
+        assert et_row_partition(a, b) == ((3, 3), (2, 2))
 
 
 class TestSplittingGame:
@@ -492,6 +503,69 @@ class TestCertificates:
 
     def test_nonexample_reverse_has_no_certificate(self):
         assert find_certificate(NONEX_B, NONEX_A) is None
+
+    def test_box_map_off_the_left_boxes_raises(self):
+        a, b = StandardSet([2, 1]), StandardSet([1, 1, 1])
+        cert = find_certificate(a, b)
+        del cert.box_map[(1, 0)]
+        with pytest.raises(ValueError, match="^box_map domain must be the boxes of lambda_shape$"):
+            check_certificate(cert, a, b)
+
+    def test_right_assembly_other_than_b_is_false(self):
+        # the edited factors assemble (2,1) on the right, not b
+        a, b = StandardSet([2, 1]), StandardSet([1, 1, 1])
+        cert = find_certificate(a, b)
+        cert.per_box_prime[(0, 0)] = StandardSet([2])
+        assert not check_certificate(cert, a, b)
+        assert check_certificate(cert, a, StandardSet([2, 1]))
+
+    def test_shapes_not_leq_et_related_raise_before_any_order_check(self):
+        # unit factors on every box make the shapes themselves a and b, so
+        # check_certificate accepts exactly the bijections that keep rows
+        # inside rows; shapes not leq_et-related have none, and every
+        # bijection between them raises
+        one = StandardSet([1])
+        for n in range(1, 6):
+            sts = enumerate_staircases(n)
+            for lam, lam_p in itertools.product(sts, sts):
+                boxes, boxes_p = sorted(lam.points()), sorted(lam_p.points())
+                accepted = 0
+                for images in itertools.permutations(boxes_p):
+                    cert = IncidenceCertificate(
+                        lam,
+                        lam_p,
+                        dict(zip(boxes, images)),
+                        dict.fromkeys(boxes, one),
+                        dict.fromkeys(boxes_p, one),
+                    )
+                    try:
+                        accepted += check_certificate(cert, lam, lam_p)
+                    except ValueError as exc:
+                        assert str(exc) == "box_map must send each row into a single row"
+                assert (accepted > 0) == leq_et(lam, lam_p), (lam, lam_p)
+
+    def test_limit_without_certificate(self):
+        # eight points on three lines of 4, 2 and 2 flow at v = (-1, -3)
+        # into a cell that dominance allows and neither order nor any
+        # certificate reaches: a certificate is not necessary for closure
+        points = [
+            (Fraction(-13, 9), 5), (Fraction(-2, 3), 5), (Fraction(-8, 5), 5), (-7, 5),
+            (6, Fraction(-9, 5)), (Fraction(-3, 7), Fraction(-9, 5)),
+            (Fraction(13, 8), Fraction(1, 2)), (Fraction(-4, 3), Fraction(1, 2)),
+        ]
+        ideal = vanishing_ideal(points)
+        limit = torus_limit(ideal, (-1, -3))
+        a, b = staircase_of(ideal), staircase_of(limit)
+        assert (a, b) == (StandardSet([3, 3, 1, 1]), StandardSet([2, 2, 2, 1, 1]))
+        assert reduced_groebner_basis(limit).elements == tuple(
+            map(
+                parse_polynomial,
+                ("x2^2", "x1^3*x2", "x1^5 - 28843319527519951/512311373497980*x1^2*x2"),
+            )
+        )
+        assert dominance(a, b)
+        assert not leq_et(a, b) and not leq_punc(a, b)
+        assert find_certificate(a, b) is None
 
     def test_certificates_up_to_10_unchanged(self):
         # which certificate the search returns, pinned for every pair

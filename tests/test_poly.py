@@ -240,3 +240,9 @@ class TestConstants:
         assert ONE == Polynomial.constant(1)
         with pytest.raises(ValueError):
             Polynomial.variable(3)
+
+    @pytest.mark.parametrize("index", [True, 1.0, 2.0])
+    def test_variable_takes_only_the_ints_1_and_2(self, index):
+        # True == 1 and 1.0 == 1, but only the ints 1 and 2 are indices
+        with pytest.raises(ValueError, match="^variable index must be 1 or 2$"):
+            Polynomial.variable(index)

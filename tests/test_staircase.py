@@ -265,6 +265,12 @@ class TestSums:
         with pytest.raises(ValueError):
             c4_sum(EMPTY, EMPTY, 3)
 
+    @pytest.mark.parametrize("direction", [True, 1.0, 2.0])
+    def test_direction_takes_only_the_ints_1_and_2(self, direction):
+        # True == 1 and 2.0 == 2, but only the ints 1 and 2 are directions
+        with pytest.raises(ValueError, match="^direction must be 1 or 2$"):
+            c4_sum(StandardSet([1]), StandardSet([1]), direction)
+
     def test_identity_and_commutativity(self):
         for n in range(6):
             for s in enumerate_staircases(n):
