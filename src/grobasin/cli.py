@@ -58,9 +58,10 @@ def _read_pair(args):
         return None
 
 
-# the et and punc searches recurse once or twice per row or column, so a
-# larger staircase would end in a RecursionError; the bound leaves stack to
-# spare.  dominance (and the filter, which is dominance) is one loop
+# et and punc run one block search, one level per part left after the
+# shared parts cancel, and about 500 levels end in a RecursionError; the
+# bound leaves stack to spare.  dominance (and the filter, which is
+# dominance) is one loop
 MAX_CHECK_BOXES = 200
 
 

@@ -2,9 +2,12 @@
 
 Two orders drive everything here: one merges rows (horizontal collisions),
 the other breaks columns into vertical pieces.  They are exchanged by
-transposition, which the test suite exploits as a cross-check; the two
-searches below still share no code, and the cancellation before both is
-one helper, _unshared.
+transposition, so one memoised block search, after one cancellation
+(_unshared), decides both: leq_et fills b's rows with a's, and leq_punc
+fills a's columns with b's.  The duality suite of basinlab checks the
+search against the closure of single row merges that build_poset takes,
+and the tests check both orders against oracles that share no code with
+the search.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def _unshared(x, y):
 
 
 # ---------------------------------------------------------------------------
-# row merging order
+# the block search, and the two orders it decides
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +70,9 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
     fills s, and {r} alone fills the row of its width: another witness,
     in which r merges into itself.  So the memoised search sees only the
     rows left over, an instance that many pairs share.
+
+    The search recurses once per row of a left over; about 500 of them,
+    such as a column of 500 boxes against a row, end in a RecursionError.
     """
     # the k widest rows of a lie in at most k blocks, so the k widest rows
     # of b hold at least their sum: merging can only raise the row partial
@@ -74,49 +80,14 @@ def leq_et(a: StandardSet, b: StandardSet) -> bool:
     return dominance(a, b) and _fill_blocks(*_unshared(a.rows(), b.rows()))
 
 
-# ---------------------------------------------------------------------------
-# column breaking order
-
-
-def _sub_removals(avail, need):
-    # avail: tuple of (height, count) with heights desc; yields the avail
-    # tuples left over after removing a sub-multiset summing exactly to need
-    def go(i, left, acc):
-        if left == 0:
-            yield tuple((h, c) for (h, c) in acc + list(avail[i:]) if c > 0)
-            return
-        if i == len(avail):
-            return
-        h, c = avail[i]
-        for take in range(min(c, left // h), -1, -1):
-            yield from go(i + 1, left - take * h, acc + [(h, c - take)])
-
-    return go(0, need, [])
-
-
-@lru_cache(maxsize=None)
-def _break_columns(targets, avail):
-    # targets: desc tuple of column heights still to break; avail: tuple of
-    # (height, count) pairs, heights desc, of pieces not yet used
-    if not targets:
-        return not avail
-    for rest in _sub_removals(avail, targets[0]):
-        if _break_columns(targets[1:], rest):
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _height_counts(cols):
-    # columns are weakly decreasing, so equal heights are adjacent
-    return tuple(
-        (h, sum(1 for _ in run)) for h, run in itertools.groupby(cols)
-    )
-
-
 def leq_punc(a: StandardSet, b: StandardSet) -> bool:
     """True iff each column of a breaks into vertical pieces such that the
     multiset of all pieces equals the columns of b.
+
+    Transposition turns columns into rows, so this is leq_et(b^T, a^T):
+    the columns of b group into blocks whose sums are the columns of a.
+    The search is the one leq_et runs there, b's columns the pieces and
+    a's the caps, so both orders share one memo.
 
     A column height that a and b share cancels before the search.  In any
     witness, say a's column c of height h breaks into the pieces P, while
@@ -124,15 +95,14 @@ def leq_punc(a: StandardSet, b: StandardSet) -> bool:
     piece whole and c' yield P in its place; P sums to h, so this is
     another witness, in which c stays unbroken.  So the memoised search
     sees only the columns left over, an instance that many pairs share.
+
+    The search recurses once per column of b left over; as for leq_et,
+    about 500 of them, such as a column of 500 boxes against a row, end
+    in a RecursionError.
     """
     # the k tallest columns of b are pieces of at most k columns of a, so
     # breaking can only lower the column partial sums: dominance(a, b)
-    if not dominance(a, b):
-        return False
-    # what is left of b is grouped by the cached _height_counts, so equal
-    # leftovers share one tuple across the cache entries that hold them
-    targets, rest = _unshared(a.cols(), b.cols())
-    return _break_columns(targets, _height_counts(rest))
+    return dominance(a, b) and _fill_blocks(*_unshared(b.cols(), a.cols()))
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +431,14 @@ def check_certificate(
         if not leq_punc(left, right):
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _height_counts(cols):
+    # columns are weakly decreasing, so equal heights are adjacent
+    return tuple(
+        (h, sum(1 for _ in run)) for h, run in itertools.groupby(cols)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,9 @@
 against.  The package never calls these; each one writes its object out
 directly rather than by the package's own route."""
 
+import itertools
+from functools import lru_cache
+
 from grobasin.groebner import Ideal, _integral
 from grobasin.orders import SplitQuadruple, figure_alg
 from grobasin.poly import Polynomial, exact
@@ -58,6 +61,48 @@ def et_row_partition(a: StandardSet, b: StandardSet):
         return False
 
     return tuple(map(tuple, blocks)) if place(0) else None
+
+
+# ---------------------------------------------------------------------------
+# the column breaking order by a search on columns
+
+
+def _sub_removals(avail, need):
+    # avail: tuple of (height, count) with heights desc; yields the avail
+    # tuples left over after removing a sub-multiset summing exactly to need
+    def go(i, left, acc):
+        if left == 0:
+            yield tuple((h, c) for (h, c) in acc + list(avail[i:]) if c > 0)
+            return
+        if i == len(avail):
+            return
+        h, c = avail[i]
+        for take in range(min(c, left // h), -1, -1):
+            yield from go(i + 1, left - take * h, acc + [(h, c - take)])
+
+    return go(0, need, [])
+
+
+@lru_cache(maxsize=None)
+def _break_columns(targets, avail):
+    # targets: desc tuple of column heights still to break; avail: tuple of
+    # (height, count) pairs, heights desc, of pieces not yet used
+    if not targets:
+        return not avail
+    for rest in _sub_removals(avail, targets[0]):
+        if _break_columns(targets[1:], rest):
+            return True
+    return False
+
+
+def leq_punc_by_columns(a: StandardSet, b: StandardSet) -> bool:
+    """Column breaking order decided on columns, with no transposition:
+    each column of a, tallest first, takes out a sub-multiset of the
+    columns of b that sums to it, until none of b is left."""
+    counts = tuple(
+        (h, sum(1 for _ in run)) for h, run in itertools.groupby(b.cols())
+    )
+    return _break_columns(a.cols(), counts)
 
 
 # ---------------------------------------------------------------------------

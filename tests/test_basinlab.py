@@ -23,13 +23,18 @@ from grobasin.basinlab import (
     sample_basin_ideal,
 )
 from grobasin import groebner
+from grobasin.cli import main
 from grobasin.groebner import (
+    monomial_ideal,
     normal_form,
     reduced_groebner_basis,
+    substitute,
+    supported_at_origin,
     supported_on_line,
+    tall_point_ideal,
     vanishing_ideal,
 )
-from grobasin.orders import build_poset
+from grobasin.orders import SplitQuadruple, build_poset, figure_alg
 from grobasin.poly import Polynomial, parse_polynomial
 from grobasin.staircase import StandardSet, enumerate_staircases
 
@@ -331,6 +336,20 @@ class TestSuitesSmall:
         report = run_single_column_density(4, 6, seed=1)
         assert report.passed and report.cases_run == 6
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_column_ideals_walk_to_one_column_at_the_origin(self, seed):
+        # the suite re-checks the staircase substitute carried; reading the
+        # elements walks the ideals its first trials draw, and raises
+        # unless the walk finds that staircase too
+        for n in range(1, 9):
+            for trial in range(3):
+                rng = basinlab._trial_rng("single_column", seed, trial)
+                coeffs = [Fraction(0)] + [basinlab._rand_fraction(rng) for _ in range(n - 1)]
+                gb = reduced_groebner_basis(tall_point_ideal(n, coeffs))
+                gb.elements
+                assert gb.staircase == StandardSet([n])
+                assert supported_at_origin(gb)
+
     def test_et_closure_single_pair(self):
         a = StandardSet([4])
         b = StandardSet([3, 1])
@@ -485,3 +504,62 @@ class TestSuiteRegistry:
             f[1:] == ("a sample", "SamplingError: out of budget")
             for f in report.failures
         )
+
+
+def _moved(target, index, place):
+    # the monomial ideal of target, its support moved to x_index = place
+    return substitute(monomial_ideal(target), index, Polynomial.constant(-place))
+
+
+class TestFailurePaths:
+    # each failure a suite or a sampler recheck can report, forced by
+    # rebinding an order, the splitting game or a sampler
+
+    def _fails(self, capsys, name, failure):
+        # the suite at n_max 2 reports exactly the one failure, and
+        # `grobasin verify` exits 1 on it
+        report = SUITES[name][0](1, 0, 2)
+        assert (report.cases_run, report.cases_passed) == (5, 4)
+        assert report.failures == (failure,)
+        assert main(["verify", name, "--nmax", "2"]) == 1
+        capsys.readouterr()
+
+    def test_duality(self, monkeypatch, capsys):
+        monkeypatch.setattr(basinlab, "leq_punc", lambda a, b: True)
+        self._fails(capsys, "duality", ("a=cols(1,1) b=cols(2)", "True", "False"))
+
+    def test_refinement(self, monkeypatch, capsys):
+        monkeypatch.setattr(basinlab, "dominance", lambda a, b: a == b)
+        failure = ("a=cols(2) b=cols(1,1)", "dominance to follow", "dominance fails")
+        self._fails(capsys, "refinement", failure)
+
+    def test_splitting_game_disagrees(self, monkeypatch, capsys):
+        monkeypatch.setattr(basinlab, "leq_punc", lambda a, b: True)
+        self._fails(capsys, "alg", ("a=cols(1,1) b=cols(2)", "True", "False"))
+
+    def test_splitting_game_terminal_loses_boxes(self, monkeypatch, capsys):
+        lost = SplitQuadruple((1,), (), (1,), ())
+
+        def with_lost(a, b):
+            quads = figure_alg(a, b)
+            return quads | {lost} if a.cols() == (2,) and b.cols() == (2,) else quads
+
+        monkeypatch.setattr(basinlab, "figure_alg", with_lost)
+        failure = ("a=cols(2) b=cols(2)", "terminals conserving total size", str(lost))
+        self._fails(capsys, "alg", failure)
+
+    @pytest.mark.parametrize(
+        "constraint, line, sampler, sample, recheck",
+        [
+            ("origin", None, "_origin_sample", monomial_ideal(StandardSet([3])), "its own staircase"),
+            ("origin", None, "_origin_sample", _moved(TARGET, 1, 1), "the origin support"),
+            ("x1_axis", None, "_axis_sample", _moved(TARGET, 2, 1), "the axis support"),
+            ("horizontal_line", 2, "_axis_sample", _moved(TARGET, 2, 1), "the line support"),
+        ],
+    )
+    def test_sample_recheck(self, monkeypatch, constraint, line, sampler, sample, recheck):
+        # a sample with the wrong staircase, or off its support, is refused
+        monkeypatch.setattr(basinlab, sampler, lambda target, rng: sample)
+        spec = BasinSampleSpec(TARGET, constraint, line=line)
+        with pytest.raises(SamplingError, match=f"^sampler output fails {recheck} recheck$"):
+            sample_basin_ideal(spec)

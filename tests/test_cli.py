@@ -189,10 +189,20 @@ class TestCheck:
         code, out, err = run(capsys, ["check", order, tall, tall])
         assert (code, out, err) == (0, "true\n", "")
 
+    @pytest.mark.parametrize("order", ["et", "punc"])
+    def test_deepest_pair_at_box_bound_answers(self, capsys, order):
+        # a column of 200 boxes against a row shares no part with it, so
+        # the block search places all 200 parts, one level each
+        column = json.dumps({"columns": [200]})
+        row = json.dumps({"columns": [1] * 200})
+        code, out, err = run(capsys, ["check", order, column, row])
+        assert (code, out, err) == (0, "true\n", "")
+
     @pytest.mark.parametrize("order", ["dominance", "filter"])
     def test_box_bound_spares_dominance(self, capsys, order):
         # dominance and the filter do not recurse, so they take any size;
-        # 500 boxes overflow the stack in et and punc
+        # in et and punc, 500 boxes against themselves would cancel whole,
+        # but a column of 500 against a row overflows the stack
         tall = json.dumps({"columns": [500]})
         code, out, err = run(capsys, ["check", order, tall, tall])
         assert (code, out, err) == (0, "true\n", "")

@@ -7,14 +7,12 @@ from functools import lru_cache
 
 import pytest
 
-from grobasin import orders
 from grobasin.groebner import reduced_groebner_basis, staircase_of, torus_limit, vanishing_ideal
 from grobasin.orders import (
     IncidenceCertificate,
     SplitQuadruple,
     _MOVES,
     _block_lines,
-    _break_columns,
     _build_certificate,
     _height_counts,
     _leq_punc_cols,
@@ -37,10 +35,17 @@ from grobasin.orders import (
 from grobasin.poly import parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, enumerate_staircases
 
-from definitions import et_row_partition, leq_punc_via_alg, lex_cols_geq, lex_rows_leq
+from definitions import (
+    et_row_partition,
+    leq_punc_by_columns,
+    leq_punc_via_alg,
+    lex_cols_geq,
+    lex_rows_leq,
+)
 
-# the memoised searches of the two orders
-_SEARCHES = (_fill_blocks, _break_columns, _height_counts)
+# the memoised search of both orders, and the height grouping the
+# certificate search caches
+_SEARCHES = (_fill_blocks, _height_counts)
 
 
 def index_partitions(k):
@@ -608,11 +613,7 @@ class TestFastRejections:
         for n in range(13):
             sts = enumerate_staircases(n)
             for a, b in itertools.product(sts, sts):
-                counts = tuple(
-                    (h, sum(1 for _ in run))
-                    for h, run in itertools.groupby(b.cols())
-                )
-                assert leq_punc(a, b) == _break_columns(a.cols(), counts)
+                assert leq_punc(a, b) == leq_punc_by_columns(a, b)
 
     def test_dominance_cut_against_uncut_search(self):
         for n in range(1, 9):
@@ -907,11 +908,11 @@ class TestScalingBudgets:
 class TestCancelledSearchMemo:
     # leq_et and leq_punc cancel the parts a and b share before the
     # memoized search, so pairs meet shared sub-instances; searching every
-    # query whole left 37445 entries in _fill_blocks and 27025 in
-    # _break_columns after leq on every ordered pair at n = 16
+    # query whole left 37445 entries in _fill_blocks after leq_et on every
+    # ordered pair at n = 16, and leq_punc searches the transposed pairs
 
     @pytest.mark.parametrize(
-        "order,cache,whole", [("et", _fill_blocks, 37445), ("punc", _break_columns, 27025)]
+        "order,cache,whole", [("et", _fill_blocks, 37445), ("punc", _fill_blocks, 37445)]
     )
     def test_sweep_at_16_leaves_at_most_half_the_entries(self, order, cache, whole):
         for search in _SEARCHES:
@@ -927,7 +928,7 @@ class TestCancelledSearchMemo:
         for search in _SEARCHES:
             search.cache_clear()
         build_poset(16, order)
-        assert [search.cache_info().currsize for search in _SEARCHES] == [0, 0, 0]
+        assert [search.cache_info().currsize for search in _SEARCHES] == [0, 0]
 
     @pytest.mark.parametrize("reading", [StandardSet.rows, StandardSet.cols])
     def test_unshared_leaves_no_common_value(self, reading):
@@ -944,26 +945,3 @@ class TestCancelledSearchMemo:
                 assert Counter(left_y) + shared == Counter(y)
                 for left in (left_x, left_y):
                     assert list(left) == sorted(left, reverse=True)
-
-    def test_removals_in_recorded_order_at_n12(self, monkeypatch):
-        # every (avail, need) that a cold leq_punc sweep at n = 12 asks of
-        # _sub_removals, with all the removals in the order they come,
-        # hashed as recorded when the removals were a memoised tuple
-        search = orders._sub_removals
-        digest = hashlib.sha256()
-        calls = 0
-
-        def recorded(avail, need):
-            nonlocal calls
-            calls += 1
-            removals = tuple(search(avail, need))
-            digest.update(repr((avail, need, removals)).encode())
-            return removals
-
-        _break_columns.cache_clear()
-        monkeypatch.setattr(orders, "_sub_removals", recorded)
-        sts = enumerate_staircases(12)
-        for a, b in itertools.product(sts, sts):
-            leq_punc(a, b)
-        _break_columns.cache_clear()
-        assert (calls, digest.hexdigest()[:16]) == (1213, "bf809ad89820cfa1")
