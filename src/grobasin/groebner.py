@@ -313,40 +313,59 @@ def _eliminate(vec, tag, rows):
     return None
 
 
-def _walk(quotient, key):
-    """Leads and integer relations of the reduced basis, in the order `key`,
-    of the ideal of all f with f(M1, M2) one = 0, for a quotient (M1, M2,
-    one).
+def _walk(quotient, v):
+    """Leads and integer relations of the reduced basis, in the order
+    _weight_key(v), of the ideal of all f with f(M1, M2) one = 0, for a
+    quotient (M1, M2, one) whose M_i is nilpotent wherever v_i > 0.
 
     FGLM (Faugere, Gianni, Lazard and Mora 1993), in the form of Marinari,
-    Moeller and Mora (1993).  Monomials m are visited upward in `key` from
-    1, past multiples of the leads found; the vector of m is a visited
-    predecessor's times M1 or M2.  With a column -1 - k for the k-th
-    standard monomial it is row-reduced against the earlier ones: a new
-    row, or with only negative columns left, the next element, kept as a
-    relation {monomial: integer} over m and the standard monomials before
-    it (see _monic).
+    Moeller and Mora (1993).  Monomials m are visited upward in the order,
+    past multiples of the leads found.  Where v_i > 0, multiplying by x_i
+    lowers a monomial, so the walk starts from every product of powers of
+    those variables, each power chain ending at its first zero vector, and
+    steps only along the other variables: the vector of m is a visited
+    predecessor's times M1 or M2.  For v <= 0 the one start is 1.  With a
+    column -1 - k for the k-th standard monomial the vector is row-reduced
+    against the earlier ones: a new row, or with only negative columns
+    left, a lead, kept with a relation {monomial: integer} over m and the
+    standard monomials before it (see _monic).  A lead visited before one
+    of its divisors is dropped at the end.
     """
-    heap = [(key((0, 0)), (0, 0), None, 0)]
+    key = _weight_key(v)
+    starts = {(0, 0): quotient[2]}
+    for k in (0, 1):
+        if v[k] > 0:
+            for m, vec in list(starts.items()):
+                while vec[0]:
+                    m = (m[0] + 1 - k, m[1] + k)
+                    vec = starts[m] = _apply(quotient[k], vec)
+    steps = [k for k in (0, 1) if v[k] <= 0]
+    heap = [(key(m), m, None, 0) for m in starts]
+    heapq.heapify(heap)
     rows, vectors, standard, leads, relations = {}, {}, [], [], []
     while heap:
         _, m, pred, k = heapq.heappop(heap)
         if m in vectors or any(l[0] <= m[0] and l[1] <= m[1] for l in leads):
             continue
-        vec = quotient[2] if pred is None else _apply(quotient[k], vectors[pred])
+        vec = starts[m] if pred is None else _apply(quotient[k], vectors[pred])
         tag = -1 - len(standard)
         relation = _eliminate(vec, tag, rows)
         if relation is None:
             vectors[m] = vec
             standard.append(m)
-            for k, nxt in enumerate(((m[0] + 1, m[1]), (m[0], m[1] + 1))):
+            for k in steps:
+                nxt = (m[0] + 1 - k, m[1] + k)
                 heapq.heappush(heap, (key(nxt), nxt, m, k))
         else:
             leads.append(m)
             relations.append(
                 {(standard[-1 - t] if t > tag else m): c for t, c in relation.items()}
             )
-    return leads, relations
+    minimal = [
+        j for j, m in enumerate(leads)
+        if not any(l != m and l[0] <= m[0] and l[1] <= m[1] for l in leads)
+    ]
+    return [leads[j] for j in minimal], [relations[j] for j in minimal]
 
 
 def _monic(lead, relation):
@@ -358,7 +377,7 @@ def _monic(lead, relation):
 def _lex_basis(quotient):
     # the zero weight refined by lex is lex, so the leads come sorted; the
     # elements are built when first read
-    leads, relations = _walk(quotient, _weight_key((0, 0)))
+    leads, relations = _walk(quotient, (0, 0))
     return ReducedGroebnerBasis(
         lambda: tuple(map(_monic, leads, relations)),
         _staircase_from_corners(leads),
@@ -561,8 +580,9 @@ def tall_point_ideal(height: int, coefficients) -> Ideal:
 
 
 def _integral(v):
-    # the weight as ints; any other entry would make a power of t inexact
-    return tuple(integer(w, "weights") for w in v)
+    # the weight as two ints; any other entry would make a power of t inexact
+    v1, v2 = v
+    return integer(v1, "weights"), integer(v2, "weights")
 
 
 def _initial_form(terms, v):
@@ -571,44 +591,6 @@ def _initial_form(terms, v):
     return Polynomial(
         {e: c for e, c in terms.items() if e[0] * v1 + e[1] * v2 == w0}
     )
-
-
-def _punctual_limit(quotient, v):
-    """Reduced lex basis of the weight-v limit of the colength n ideal with
-    this quotient.
-
-    The ideal must be supported at the origin (see supported_at_origin):
-    then it holds (x1, x2)^n, and the monomials of degree < n span its
-    quotient.  Row-reduced in descending (v-weight, lex), each dependent m
-    gives m - (standard monomials before it) in the ideal; their v-minimal
-    parts and (x1, x2)^n span the limit."""
-    m1, m2, one = quotient
-    n = len(m1[0])
-    vectors = {(0, 0): one}
-    for d in range(1, n):
-        vectors[(0, d)] = _apply(m2, vectors[(0, d - 1)])
-        for i in range(1, d + 1):
-            vectors[(i, d - i)] = _apply(m1, vectors[(i - 1, d - i)])
-
-    def weight(e):
-        return e[0] * v[0] + e[1] * v[1]
-
-    rows, standard, forms = {}, [], {}
-    for m in sorted(vectors, key=lambda e: (weight(e), e), reverse=True):
-        relation = _eliminate(vectors[m], -1 - len(standard), rows)
-        if relation is None:
-            standard.append(m)
-            continue
-        lead = relation.pop(-1 - len(standard))
-        forms[m] = _reduced(
-            {
-                standard[-1 - t]: -c
-                for t, c in relation.items()
-                if weight(standard[-1 - t]) == weight(m)
-            },
-            lead,
-        )
-    return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, ({}, 1))))
 
 
 def _nilpotent(quotient, index):
@@ -641,42 +623,29 @@ def supported_on_line(gb: ReducedGroebnerBasis, level) -> bool:
 def torus_limit(ideal: Ideal, v) -> Ideal:
     """Flat limit of the weight-v torus flow at t = 0.
 
-    Generated by the v-minimal parts of a Groebner basis for the order
-    "v-weight ascending, ties by lex".  Weights with both entries <= 0
-    work for any zero-dimensional ideal; other weights require support at
-    the origin.  The result carries its reduced lex basis; if its
-    staircase cardinality differs from the input's, the limit left the
-    Hilbert scheme and LimitDoesNotExist is raised.  The weights must be
+    The Hilbert-Chow map is proper, so the limit exists exactly when every
+    support point has x_i = 0 wherever v_i > 0, that is when M_i is
+    nilpotent on the quotient; otherwise LimitDoesNotExist is raised,
+    naming the line x_i = 0 or the origin.  The limit is generated by the
+    v-minimal parts of the reduced basis for the order "v-weight
+    ascending, ties by lex" (see _walk), which form its reduced lex basis;
+    the lex basis serves as that basis when every element has the same
+    lead in both orders.  The result carries it.  The weights must be
     integers.
-
-    Support at the origin is stronger than existence.  The Hilbert-Chow
-    map is proper, so the limit exists exactly when every support point
-    has x_i = 0 wherever v_i > 0.  The ideal of (0, 1) and (0, 2) at
-    v = (1, 0) raises LimitDoesNotExist, though that flow fixes it; one
-    flat-limit engine for any family is item 5 of ROADMAP.md.
     """
-    v1, v2 = _integral(v)
+    v = _integral(v)
     gb = _zero_dimensional(reduced_groebner_basis(ideal))
-    n = gb.staircase.cardinality
-    if v1 <= 0 and v2 <= 0:
-        # the v-minimal parts of the reduced weight basis are the reduced
-        # lex basis of the limit; equal leads make the lex basis that basis
-        key = _weight_key((v1, v2))
-        weighted = gb.elements
-        if any(g.leading_under(key)[0] != g.terms[0][0] for g in weighted):
-            weighted = map(_monic, *_walk(_quotient(gb), key))
-        limit_gb = _as_basis(_initial_form(dict(g.terms), (v1, v2)) for g in weighted)
-    else:
-        # the grid of n(n+1)/2 vectors is built only after this check
-        if not supported_at_origin(gb):
-            raise LimitDoesNotExist(
-                "limit does not exist in the Hilbert scheme: "
-                "ideal is not supported at the origin"
-            )
-        limit_gb = _punctual_limit(_quotient(gb), (v1, v2))
-    if limit_gb.staircase is None or limit_gb.staircase.cardinality != n:
-        raise LimitDoesNotExist("limit does not exist in the Hilbert scheme")
-    return Ideal(limit_gb)
+    positive = [i for i in (1, 2) if v[i - 1] > 0]
+    if not all(_nilpotent(_quotient(gb), i) for i in positive):
+        where = "at the origin" if len(positive) == 2 else f"on the line x{positive[0]} = 0"
+        raise LimitDoesNotExist(
+            f"limit does not exist in the Hilbert scheme: ideal is not supported {where}"
+        )
+    key = _weight_key(v)
+    weighted = gb.elements
+    if any(g.leading_under(key)[0] != g.terms[0][0] for g in weighted):
+        weighted = map(_monic, *_walk(_quotient(gb), v))
+    return Ideal(_as_basis(_initial_form(dict(g.terms), v) for g in weighted))
 
 
 def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:

@@ -5,7 +5,15 @@ directly rather than by the package's own route."""
 import itertools
 from functools import lru_cache
 
-from grobasin.groebner import Ideal, _integral
+from grobasin.groebner import (
+    Ideal,
+    _apply,
+    _eliminate,
+    _integral,
+    _lex_basis,
+    _on_monomials,
+    _reduced,
+)
 from grobasin.orders import SplitQuadruple, figure_alg
 from grobasin.poly import Polynomial, exact
 from grobasin.staircase import StandardSet
@@ -136,6 +144,48 @@ def torus_scale(f: Polynomial, t, v) -> Polynomial:
     return Polynomial(
         {e: c * t ** (e[0] * v1 + e[1] * v2) for e, c in f.terms}
     )
+
+
+# ---------------------------------------------------------------------------
+# torus limits at the origin, on the monomials of degree < n
+
+
+def punctual_limit_by_grid(quotient, v):
+    """Reduced lex basis of the weight-v limit of the colength n ideal with
+    this quotient, for any integer weight v.
+
+    The ideal must be supported at the origin: then it holds (x1, x2)^n,
+    and the monomials of degree < n span its quotient.  Row-reduced in
+    descending (v-weight, lex), each dependent m gives m - (standard
+    monomials before it) in the ideal; their v-minimal parts and
+    (x1, x2)^n span the limit."""
+    m1, m2, one = quotient
+    n = len(m1[0])
+    vectors = {(0, 0): one}
+    for d in range(1, n):
+        vectors[(0, d)] = _apply(m2, vectors[(0, d - 1)])
+        for i in range(1, d + 1):
+            vectors[(i, d - i)] = _apply(m1, vectors[(i - 1, d - i)])
+
+    def weight(e):
+        return e[0] * v[0] + e[1] * v[1]
+
+    rows, standard, forms = {}, [], {}
+    for m in sorted(vectors, key=lambda e: (weight(e), e), reverse=True):
+        relation = _eliminate(vectors[m], -1 - len(standard), rows)
+        if relation is None:
+            standard.append(m)
+            continue
+        lead = relation.pop(-1 - len(standard))
+        forms[m] = _reduced(
+            {
+                standard[-1 - t]: -c
+                for t, c in relation.items()
+                if weight(standard[-1 - t]) == weight(m)
+            },
+            lead,
+        )
+    return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, ({}, 1))))
 
 
 def lex_compare(alpha, beta) -> int:

@@ -141,11 +141,15 @@ def test_criterion_03_hasse_diagrams_n6():
 
 
 def test_criterion_04_transpose_duality():
-    with _within(60, 4, "column/row order duality holds for all pairs n <= 8"):
-        for n in range(1, 9):
-            sts = enumerate_staircases(n)
-            for a, b in itertools.product(sts, sts):
-                assert leq_punc(a, b) == leq_et(b.transpose(), a.transpose())
+    # the row-merge closure at (b^T, a^T), not leq_et, which would run
+    # leq_punc's own block search
+    with _within(60, 4, "column/row order duality holds for all pairs n <= 10"):
+        for n in range(1, 11):
+            poset = build_poset(n, "et")
+            index = {s: i for i, s in enumerate(poset.elements)}
+            for a, b in itertools.product(poset.elements, repeat=2):
+                mirrored = poset.relation[index[b.transpose()]][index[a.transpose()]]
+                assert leq_punc(a, b) == mirrored
 
 
 def test_criterion_05_splitting_game_equivalence():

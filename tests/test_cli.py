@@ -302,6 +302,23 @@ class TestGroebner:
         assert code == 2
         assert "two integers" in err
 
+    def test_limit_on_the_line_x1_0(self, capsys, tmp_path):
+        # the flow at (1, 0) fixes the points (0, 1) and (0, 2)
+        path = tmp_path / "ideal.txt"
+        path.write_text("x1\nx2^2 - 3*x2 + 2\n")
+        code, out, err = run(capsys, ["groebner", str(path), "--limit=1,0"])
+        assert (code, out, err) == (0, "x2^2 - 3*x2 + 2\nx1\n", "")
+
+    def test_limit_off_the_line_x1_0(self, capsys, tmp_path):
+        path = tmp_path / "ideal.txt"
+        path.write_text("x1 - 1\nx2^2 - 3*x2 + 2\n")
+        code, out, err = run(capsys, ["groebner", str(path), "--limit=1,0"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: limit does not exist in the Hilbert scheme: "
+            "ideal is not supported on the line x1 = 0\n"
+        )
+
     def test_limit_undefined(self, capsys, tmp_path):
         path = tmp_path / "ideal.txt"
         path.write_text("x1 - 1\nx2 - 1\n")

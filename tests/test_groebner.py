@@ -34,7 +34,7 @@ from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.poly import Polynomial, X1, X2, parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, cell_dimensions, enumerate_staircases
 
-from definitions import ideal_product, torus_scale
+from definitions import ideal_product, punctual_limit_by_grid, torus_scale
 
 
 def P(text):
@@ -782,6 +782,13 @@ class TestTorusLimit:
         origin = Ideal((P("x1 + x2"), P("x2^2")))
         assert torus_limit(origin, (Fraction(2), -1)) == torus_limit(origin, (2, -1))
 
+    def test_weights_are_two_entries(self):
+        # a third entry must not be dropped: (0, 0, 5) is no weight at all
+        ideal = vanishing_ideal([(0, 1), (0, 2)])
+        for v in [(), (1,), (1, 2, 3), (0, 0, 5)]:
+            with pytest.raises(ValueError, match="values to unpack"):
+                torus_limit(ideal, v)
+
     def test_killing_rule_global_route(self):
         ideal = Ideal((P("x1 + x2"), P("x2^2")))
         limit = torus_limit(ideal, (-1, 0))
@@ -803,23 +810,59 @@ class TestTorusLimit:
         )
 
     def test_routes_agree_on_punctual_inputs(self):
+        # the walk against the grid of monomials of degree < n, at every
+        # weight in [-3, 4]^2 with a positive entry
         ideals = [
             Ideal((P("x1 + x2"), P("x2^2"))),
             tall_point_ideal(3, [0, 1, Fraction(1, 2)]),
             ideal_product(point_ideal((0, 0)), point_ideal((0, 0))),
+        ] + [
+            sample_basin_ideal(BasinSampleSpec(target, "origin", seed=n))
+            for n in range(1, 7)
+            for target in enumerate_staircases(n)
         ]
-        from grobasin.groebner import _punctual_limit, _quotient
-
-        for ideal in ideals:
+        weights = [v for v in itertools.product(range(-3, 5), repeat=2) if max(v) > 0]
+        moved = 0
+        for k, ideal in enumerate(ideals):
             gb = reduced_groebner_basis(ideal)
-            for v in [(-1, 0), (0, -1), (-2, -3)]:
-                global_route = reduced_groebner_basis(
-                    torus_limit(ideal, v)
-                ).elements
-                punctual = _punctual_limit(_quotient(gb), v).elements
-                assert global_route == punctual
-                # the punctual walk's output is a reduced basis
-                assert reduced_groebner_basis(Ideal(list(punctual))).elements == punctual
+            for v in weights:
+                walked = reduced_groebner_basis(torus_limit(ideal, v)).elements
+                assert walked == punctual_limit_by_grid(_quotient(gb), v).elements
+                moved += walked != gb.elements
+                if k < 3:
+                    # the walk's output is a reduced basis
+                    assert reduced_groebner_basis(Ideal(list(walked))).elements == walked
+        assert len(ideals) * len(weights) == 32 * 48
+        assert moved > len(ideals) * len(weights) // 2
+
+    def test_every_limit_is_a_fixed_point_of_n_boxes(self):
+        # every sampler mode at every weight in [-2, 3]^2: a limit that
+        # exists is v-homogeneous, fixed by the flow and of colength n
+        answered = Counter()
+        for n in range(1, 6):
+            for target in enumerate_staircases(n):
+                for mode in ("origin", "x1_axis", "free"):
+                    ideal = sample_basin_ideal(BasinSampleSpec(target, mode, seed=n))
+                    for v in itertools.product(range(-2, 4), repeat=2):
+                        try:
+                            limit = torus_limit(ideal, v)
+                        except LimitDoesNotExist:
+                            answered[mode, False] += 1
+                            continue
+                        answered[mode, True] += 1
+                        for g in limit.generators:
+                            assert len({e[0] * v[0] + e[1] * v[1] for e, _ in g.terms}) == 1
+                        assert torus_limit(limit, v) == limit
+                        assert staircase_of(limit).cardinality == n
+        # 18 staircases: origin samples answer at all 36 weights, x1_axis
+        # samples at the 18 with v1 <= 0, free samples at the 9 with v <= 0
+        assert answered == {
+            ("origin", True): 18 * 36,
+            ("x1_axis", True): 18 * 18,
+            ("x1_axis", False): 18 * 18,
+            ("free", True): 18 * 9,
+            ("free", False): 18 * 27,
+        }
 
     def test_calibration_weight_recovers_staircase(self):
         ideal = vanishing_ideal([(0, 0), (1, 0), (0, 1)])
@@ -867,13 +910,23 @@ class TestTorusLimit:
         with pytest.raises(LimitDoesNotExist):
             torus_limit(ideal, (1, 1))
 
-    def test_positive_weight_refuses_a_limit_that_exists(self):
-        # the flow at (1, 0) fixes the points (0, 1) and (0, 2), so the
-        # limit exists, but a positive weight needs support at the origin;
-        # pinned as documented, until one flat-limit engine returns it
+    def test_positive_weight_keeps_a_limit_off_the_origin(self):
+        # the flow at (1, 0) fixes the points (0, 1) and (0, 2)
         ideal = vanishing_ideal([(0, 1), (0, 2)])
-        with pytest.raises(LimitDoesNotExist, match="not supported at the origin$"):
+        limit = torus_limit(ideal, (1, 0))
+        assert limit.generators == (P("x2^2 - 3*x2 + 2"), P("x1"))
+
+    def test_one_positive_weight_names_the_line(self):
+        # the points (1, 1) and (1, 2) flow off to x1 = infinity
+        ideal = vanishing_ideal([(1, 1), (1, 2)])
+        with pytest.raises(
+            LimitDoesNotExist,
+            match="^limit does not exist in the Hilbert scheme: "
+            "ideal is not supported on the line x1 = 0$",
+        ):
             torus_limit(ideal, (1, 0))
+        with pytest.raises(LimitDoesNotExist, match="on the line x2 = 0$"):
+            torus_limit(vanishing_ideal([(0, 1), (0, 2)]), (-1, 2))
 
     def test_not_zero_dimensional(self):
         with pytest.raises(NotZeroDimensional):
@@ -994,8 +1047,8 @@ class TestScalingBudgets:
         assert elapsed < 5, f"took {elapsed:.1f}s, budget 5s"
 
     def test_punctual_limit_off_the_origin_fails_fast(self):
-        # origin support is checked on x1^n and x2^n before the quotient's
-        # degree < n grid (here 2*10^8 monomials) is built
+        # support is checked on x1^n and x2^n before any walk: x1 is not
+        # nilpotent, so the walk's power chain of x1 would never end
         ideal = Ideal((P("x1^20000 - 1"), P("x2")))
         start = time.perf_counter()
         with pytest.raises(

@@ -25,7 +25,6 @@ from grobasin.groebner import (
     _monic,
     _quotient,
     _walk,
-    _weight_key,
     intersect_comaximal,
     monomial_ideal,
     point_ideal,
@@ -274,10 +273,16 @@ def test_weight_limit_cases_exercise_the_walk():
 
 
 def _saturation_start(kind, arg):
-    # four seeded distinct points, or an origin sample of the columns arg
-    if kind == "origin":
+    # four seeded distinct points; an origin sample of the columns arg; that
+    # sample joined by its translate to (0, 1), supported on x1 = 0; or an
+    # x1_axis sample of arg, supported on x2 = 0
+    if kind in ("origin", "x2=0"):
         target = StandardSet.from_columns(arg)
-        return sample_basin_ideal(BasinSampleSpec(target, "origin", seed=sum(arg)))
+        mode = "origin" if kind == "origin" else "x1_axis"
+        return sample_basin_ideal(BasinSampleSpec(target, mode, seed=sum(arg)))
+    if kind == "x1=0":
+        sample = _saturation_start("origin", arg)
+        return intersect_comaximal([sample, substitute(sample, 2, Polynomial.constant(-1))])
     rng = random.Random(f"saturation:{arg}")
     points = set()
     while len(points) < 4:
@@ -285,7 +290,8 @@ def _saturation_start(kind, arg):
     return vanishing_ideal(sorted(points))
 
 
-# nonpositive weights (the weight walk) on points; every sign on the origin
+# nonpositive weights on points; every sign on the origin; a positive
+# entry on a line through the origin where that coordinate vanishes
 _SATURATION_CASES = [
     (("points", seed), v)
     for seed in range(6)
@@ -294,6 +300,10 @@ _SATURATION_CASES = [
     (("origin", cols), v)
     for cols in [(2, 1), (3, 1), (2, 2), (3, 2, 1)]
     for v in [(1, 1), (1, 3), (2, 1), (1, -1), (-1, 2), (-1, -1)]
+] + [
+    (("x1=0", cols), v) for cols in [(2, 1), (2, 2)] for v in [(1, 0), (2, -1)]
+] + [
+    (("x2=0", cols), v) for cols in [(2, 1), (3, 1)] for v in [(-1, 2), (0, 1)]
 ]
 
 
@@ -327,18 +337,17 @@ def test_torus_limit_matches_sympy_saturation(start, v):
 
 
 def test_saturation_cases_exercise_the_walk():
-    # at a nonpositive weight some lex lead is not the weight lead, so
-    # torus_limit walks instead of reusing the lex basis
-    walked = 0
+    # at a nonpositive weight, at two positive ones and at one positive
+    # entry, some lex lead is not the weight lead, so torus_limit walks
+    # instead of reusing the lex basis
+    walked = Counter()
     for start, v in _SATURATION_CASES:
-        if max(v) > 0:
-            continue
         lex = reduced_groebner_basis(_saturation_start(*start)).elements
-        walked += any(
+        walked[sum(w > 0 for w in v)] += any(
             g.leading_under(lambda e: (-_weight(v, e), e))[0] != g.terms[0][0]
             for g in lex
         )
-    assert walked > 0
+    assert min(walked[0], walked[1], walked[2]) > 0, walked
 
 
 def _walk_start(kind, arg):
@@ -382,7 +391,7 @@ def test_weight_walk_matches_sympy(start, v):
     sympy = pytest.importorskip("sympy")
     x1, x2 = sympy.symbols("x1 x2")
     gb = reduced_groebner_basis(_walk_start(*start))
-    ours = map(_monic, *_walk(_quotient(gb), _weight_key(v)))
+    ours = map(_monic, *_walk(_quotient(gb), v))
     basis = sympy.groebner(
         [_sympy_expr(g) for g in gb.elements],
         x1, x2, order=_sympy_weight_order(v), domain="QQ",
@@ -407,7 +416,7 @@ def test_weight_walk_matches_sympy(start, v):
 def test_weight_walk_cases_leave_lex():
     # in some case the weight leads are not the lex leads
     assert any(
-        set(_walk(_quotient(gb), _weight_key(v))[0])
+        set(_walk(_quotient(gb), v)[0])
         != {g.terms[0][0] for g in gb.elements}
         for start, v in _WALK_CASES
         for gb in [reduced_groebner_basis(_walk_start(*start))]

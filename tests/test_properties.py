@@ -4,7 +4,7 @@ vanishing_ideal draws points with numerators and denominators up to 10^6
 and must return the monic, reduced basis of the points with the
 Cerlienco-Mureddu staircase; torus_limit must keep the colength of sampled
 ideals supported at the origin, and return a v-homogeneous basis, at the
-calibration weight and at the weights of the punctual branch.  Polynomial
+calibration weight and at weights with a positive entry.  Polynomial
 must satisfy the ring axioms, and format_polynomial must read back through
 parse_polynomial.
 """
