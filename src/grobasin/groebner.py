@@ -296,7 +296,8 @@ def _eliminate(vec, tag, rows):
         g = gcd(a, p)
         a, p = a // g, p // g
         if p != 1:
-            work = {c: val * p for c, val in work.items()}
+            for c in work:
+                work[c] *= p
         for c, val in row.items():
             if c != col:
                 val = work.get(c, 0) - a * val
@@ -324,7 +325,14 @@ def _walk(quotient, v):
     lowers a monomial, so the walk starts from every product of powers of
     those variables, each power chain ending at its first zero vector, and
     steps only along the other variables: the vector of m is a visited
-    predecessor's times M1 or M2.  For v <= 0 the one start is 1.  With a
+    predecessor's times M1 or M2.  For v <= 0 the one start is 1.  Each
+    monomial is pushed from one predecessor, so none is visited twice:
+    when both variables step, x1 steps only along the bottom row x2 = 0
+    and x2 steps from everywhere.  That is sound as M1 and M2 commute, so
+    the vector is the same from either predecessor; a step is taken only
+    along an x_k with v_k <= 0, so the predecessor comes before m in the
+    order and is visited first; and a monomial whose other predecessor is
+    not standard is a multiple of a lead already found.  With a
     column -1 - k for the k-th standard monomial the vector is row-reduced
     against the earlier ones: a new row, or with only negative columns
     left, a lead, kept with a relation {monomial: integer} over m and the
@@ -345,7 +353,7 @@ def _walk(quotient, v):
     rows, vectors, standard, leads, relations = {}, {}, [], [], []
     while heap:
         _, m, pred, k = heapq.heappop(heap)
-        if m in vectors or any(l[0] <= m[0] and l[1] <= m[1] for l in leads):
+        if any(l[0] <= m[0] and l[1] <= m[1] for l in leads):
             continue
         vec = starts[m] if pred is None else _apply(quotient[k], vectors[pred])
         tag = -1 - len(standard)
@@ -354,6 +362,9 @@ def _walk(quotient, v):
             vectors[m] = vec
             standard.append(m)
             for k in steps:
+                # when both variables step, x1 steps on the bottom row only
+                if k == 0 and m[1] and len(steps) == 2:
+                    continue
                 nxt = (m[0] + 1 - k, m[1] + k)
                 heapq.heappush(heap, (key(nxt), nxt, m, k))
         else:
@@ -537,25 +548,30 @@ def vanishing_ideal(points) -> Ideal:
     the largest index, and the long lines, whose N_a the high powers of x1
     reach, come last.  A point is a tuple or list of two ints, Fractions or
     strings; anything else, a float too, raises ValueError."""
-    pts = [coordinates(p, "coordinates") for p in points]
+    # coordinates are compared and grouped by their integer parts, which
+    # hash far faster than Fractions
+    pts = [
+        (x.numerator, x.denominator, c.numerator, c.denominator)
+        for x, c in (coordinates(p, "coordinates") for p in points)
+    ]
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     if not pts:
         raise ValueError("need at least one point")
     lines = {}
-    for x, c in pts:
-        lines.setdefault(c, []).append(x)
+    for xn, xd, cn, cd in pts:
+        lines.setdefault((cn, cd), []).append((xn, xd))
     # sorted is stable: equal counts keep the order of first appearance
     lines = sorted(lines.items(), key=lambda line: len(line[1]))
-    den1 = lcm(*(x.denominator for x, _ in pts))
-    den2 = lcm(*(c.denominator for c, _ in lines))
+    den1 = lcm(*(xd for _, xd, _, _ in pts))
+    den2 = lcm(*(cd for (_, cd), _ in lines))
     m1, m2, one = [], [], {}
-    for c, xs in lines:
+    for (cn, cd), xs in lines:
         one[len(m1)] = 1
         end = len(m1) + len(xs)
-        c = c.numerator * (den2 // c.denominator)
-        for a, x in enumerate(xs, start=len(m1)):
-            col = {a: x.numerator * (den1 // x.denominator)} if x else {}
+        c = cn * (den2 // cd)
+        for a, (xn, xd) in enumerate(xs, start=len(m1)):
+            col = {a: xn * (den1 // xd)} if xn else {}
             if a + 1 < end:
                 col[a + 1] = den1
             m1.append(col)
@@ -586,11 +602,10 @@ def _integral(v):
 
 
 def _initial_form(terms, v):
+    # the terms (exponent, coefficient) of least v-weight
     v1, v2 = v
-    w0 = min(e[0] * v1 + e[1] * v2 for e in terms)
-    return Polynomial(
-        {e: c for e, c in terms.items() if e[0] * v1 + e[1] * v2 == w0}
-    )
+    w0 = min(e[0] * v1 + e[1] * v2 for e, _ in terms)
+    return Polynomial({e: c for e, c in terms if e[0] * v1 + e[1] * v2 == w0})
 
 
 def _nilpotent(quotient, index):
@@ -628,10 +643,11 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
     nilpotent on the quotient; otherwise LimitDoesNotExist is raised,
     naming the line x_i = 0 or the origin.  The limit is generated by the
     v-minimal parts of the reduced basis for the order "v-weight
-    ascending, ties by lex" (see _walk), which form its reduced lex basis;
-    the lex basis serves as that basis when every element has the same
-    lead in both orders.  The result carries it.  The weights must be
-    integers.
+    ascending, ties by lex" (see _walk), which form its reduced lex basis.
+    The initial forms of the lex basis are taken first: when every one
+    keeps its element's lex lead, each element has the same lead in both
+    orders, so the lex basis is that basis and no walk is made.  The
+    result carries it.  The weights must be integers.
     """
     v = _integral(v)
     gb = _zero_dimensional(reduced_groebner_basis(ideal))
@@ -641,11 +657,11 @@ def torus_limit(ideal: Ideal, v) -> Ideal:
         raise LimitDoesNotExist(
             f"limit does not exist in the Hilbert scheme: ideal is not supported {where}"
         )
-    key = _weight_key(v)
-    weighted = gb.elements
-    if any(g.leading_under(key)[0] != g.terms[0][0] for g in weighted):
-        weighted = map(_monic, *_walk(_quotient(gb), v))
-    return Ideal(_as_basis(_initial_form(dict(g.terms), v) for g in weighted))
+    forms = [_initial_form(g.terms, v) for g in gb.elements]
+    if any(f.terms[0][0] != g.terms[0][0] for f, g in zip(forms, gb.elements)):
+        walked = map(_monic, *_walk(_quotient(gb), v))
+        forms = [_initial_form(g.terms, v) for g in walked]
+    return Ideal(_as_basis(forms))
 
 
 def substitute(ideal: Ideal, index: int, p: Polynomial) -> Ideal:

@@ -17,7 +17,10 @@ from fractions import Fraction
 
 def exact(value, name) -> Fraction:
     """value (an int, Fraction or string like "3/4") as a Fraction; a float,
-    a binary expansion and not the decimal it was written as, raises."""
+    a binary expansion and not the decimal it was written as, raises.  A
+    Fraction comes back as itself: it is immutable, so no copy is needed."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ValueError(f"{name} must be exact, not the float {value!r}")
     return Fraction(value)
@@ -100,12 +103,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         return self.terms[0][1]
-
-    def leading_under(self, key):
-        """Leading (exponent, coefficient) for an arbitrary order key."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return max(self.terms, key=lambda t: key(t[0]))
 
     def coefficient(self, exp) -> Fraction:
         for e, c in self.terms:
@@ -213,10 +210,15 @@ ONE = Polynomial.constant(1)
 
 
 def _format_term(exp, coeff, first: bool) -> str:
+    # printed from the integer numerator and denominator, as str(Fraction)
+    # would print them
     e1, e2 = exp
-    mag = abs(coeff)
+    num, den = coeff.numerator, coeff.denominator
+    mag = -num if num < 0 else num
     factors = []
-    if mag != 1 or (e1 == 0 and e2 == 0):
+    if den != 1:
+        factors.append(f"{mag}/{den}")
+    elif mag != 1 or (e1 == 0 and e2 == 0):
         factors.append(str(mag))
     if e1 > 0:
         factors.append("x1" if e1 == 1 else f"x1^{e1}")
@@ -224,8 +226,8 @@ def _format_term(exp, coeff, first: bool) -> str:
         factors.append("x2" if e2 == 1 else f"x2^{e2}")
     body = "*".join(factors)
     if first:
-        return body if coeff > 0 else "-" + body
-    return (" + " if coeff > 0 else " - ") + body
+        return body if num > 0 else "-" + body
+    return (" + " if num > 0 else " - ") + body
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -188,6 +188,13 @@ def punctual_limit_by_grid(quotient, v):
     return _lex_basis(_on_monomials(standard, lambda e: forms.get(e, ({}, 1))))
 
 
+def leading_under(p: Polynomial, key):
+    """Leading (exponent, coefficient) of p for an arbitrary order key."""
+    if not p.terms:
+        raise ValueError("the zero polynomial has no leading term")
+    return max(p.terms, key=lambda t: key(t[0]))
+
+
 def lex_compare(alpha, beta) -> int:
     """-1, 0 or 1 as the exponent alpha is below, equal to or above beta."""
     if alpha == beta:

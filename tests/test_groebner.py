@@ -34,7 +34,12 @@ from grobasin.basinlab import BasinSampleSpec, sample_basin_ideal
 from grobasin.poly import Polynomial, X1, X2, parse_polynomial
 from grobasin.staircase import EMPTY, StandardSet, cell_dimensions, enumerate_staircases
 
-from definitions import ideal_product, punctual_limit_by_grid, torus_scale
+from definitions import (
+    ideal_product,
+    leading_under,
+    punctual_limit_by_grid,
+    torus_scale,
+)
 
 
 def P(text):
@@ -524,6 +529,14 @@ class TestPointsAndIntersections:
     def test_vanishing_ideal_rejects_duplicates(self):
         with pytest.raises(ValueError):
             vanishing_ideal([(0, 0), (0, 0)])
+        # points are compared by value, whatever type wrote them
+        same = [(1, 2), ("2/2", "2"), (Fraction(1), Fraction(4, 2))]
+        for a, b in itertools.combinations(same, 2):
+            with pytest.raises(ValueError, match="^points must be distinct$"):
+                vanishing_ideal([a, (0, 0), b])
+        # a sign is part of the value
+        halves = [(Fraction(1, 2), 0), (Fraction(-1, 2), 0)]
+        assert staircase_of(vanishing_ideal(halves)).cardinality == 2
 
     def test_vanishing_ideal_vanishes(self):
         pts = [(0, 0), (1, 2), (Fraction(-1, 3), 1)]
@@ -687,7 +700,7 @@ class TestNewtonQuotient:
             # x1 - f(x2) with deg f >= 2 leads with a power of x2 at
             # (-1, -1), so that limit ran the walk
             key = groebner._weight_key((-1, -1))
-            assert any(g.leading_under(key)[0] != g.terms[0][0] for g in ideal.generators)
+            assert any(leading_under(g, key)[0] != g.terms[0][0] for g in ideal.generators)
         assert substitute(ideal, 2, X1) == substitute(plain, 2, X1)
         levels = {c for _, c in points}
         for level in levels | {max(levels) + 1}:

@@ -37,7 +37,7 @@ from grobasin.groebner import (
 from grobasin.poly import X1, X2, Polynomial
 from grobasin.staircase import StandardSet, enumerate_staircases
 
-from definitions import ideal_product
+from definitions import ideal_product, leading_under
 
 
 def _rat(rng, bound=5):
@@ -267,7 +267,7 @@ def test_weight_limit_cases_exercise_the_walk():
     for gens in map(_grlex_differs, range(12)):
         lex = reduced_groebner_basis(Ideal(gens)).elements
         assert any(
-            g.leading_under(lambda e: (e[0] + e[1], e))[0] != g.terms[0][0]
+            leading_under(g, lambda e: (e[0] + e[1], e))[0] != g.terms[0][0]
             for g in lex
         )
 
@@ -344,7 +344,7 @@ def test_saturation_cases_exercise_the_walk():
     for start, v in _SATURATION_CASES:
         lex = reduced_groebner_basis(_saturation_start(*start)).elements
         walked[sum(w > 0 for w in v)] += any(
-            g.leading_under(lambda e: (-_weight(v, e), e))[0] != g.terms[0][0]
+            leading_under(g, lambda e: (-_weight(v, e), e))[0] != g.terms[0][0]
             for g in lex
         )
     assert min(walked[0], walked[1], walked[2]) > 0, walked

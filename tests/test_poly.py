@@ -9,11 +9,12 @@ from grobasin.poly import (
     Polynomial,
     X1,
     X2,
+    exact,
     format_polynomial,
     parse_polynomial,
 )
 
-from definitions import lex_compare
+from definitions import leading_under, lex_compare
 
 
 class TestLexCompare:
@@ -64,7 +65,7 @@ class TestConstruction:
     def test_leading_under_custom_key(self):
         p = parse_polynomial("x1 + x2^3")
         # weight (1, 1): pick the heavier exponent
-        exp, coeff = p.leading_under(lambda e: (e[0] + e[1], e))
+        exp, coeff = leading_under(p, lambda e: (e[0] + e[1], e))
         assert exp == (0, 3)
         assert coeff == 1
 
@@ -147,6 +148,9 @@ class TestTextFormat:
             "1",
             "-1/2",
             "x1*x2",
+            "-1",
+            "x1 - 1",
+            "12*x1^2*x2 - 3/4*x2 + 1/2",
         ]
         for text in cases:
             assert format_polynomial(parse_polynomial(text)) == text
@@ -190,6 +194,27 @@ class TestExactInputs:
     """An outside number becomes a Fraction only when it is exact: a float
     raises ValueError naming the argument, an int, Fraction or string is
     taken as before."""
+
+    def test_exact_keeps_a_fraction(self):
+        # Fractions are immutable, so the argument itself comes back
+        f = Fraction(3, 4)
+        assert exact(f, "c") is f
+
+    def test_exact_makes_a_subclass_a_plain_fraction(self):
+        class Tagged(Fraction):
+            pass
+
+        out = exact(Tagged(3, 4), "c")
+        assert type(out) is Fraction
+        assert out == Fraction(3, 4)
+
+    def test_exact_converts_ints_bools_and_strings(self):
+        for value, expected in [(3, Fraction(3)), (True, Fraction(1)), ("3/4", Fraction(3, 4))]:
+            out = exact(value, "c")
+            assert type(out) is Fraction
+            assert out == expected
+        with pytest.raises(ValueError, match="^c must be exact, not the float 0.75$"):
+            exact(0.75, "c")
 
     def test_constructor_rejects_floats(self):
         with pytest.raises(ValueError, match="^coeffs must be exact, not the float 0.1$"):

@@ -8,6 +8,7 @@ import pytest
 
 import grobasin
 from grobasin.cli import main
+from grobasin.poly import Polynomial
 from grobasin.staircase import enumerate_staircases
 
 # name -> the module that held it; incidence_filter returned dominance and
@@ -24,6 +25,11 @@ GONE = {
     "torus_scale": "groebner",
     "lex_compare": "poly",
 }
+
+
+def test_leading_under_is_a_test_definition():
+    # torus_limit reads the lead of each initial form instead
+    assert not hasattr(Polynomial, "leading_under")
 
 
 def test_every_exported_name_is_listed_once_and_resolves():
