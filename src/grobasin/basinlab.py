@@ -419,8 +419,15 @@ def run_et_closure_covers(n_max: int = 6, seed: int = 0) -> ExperimentReport:
     flat limit of configurations for a whose lines merge as the cover
     does, must land in b.
 
-    This realises each leq_et cover by merging lines; it does not show
-    that no other degeneration exists."""
+    This realises each leq_et cover by merging lines, and no other
+    degeneration exists.  Inside the scheme of n distinct points, a limit
+    L that is again n distinct points is reached along a curve; after a
+    finite base change the points can be labelled, and each moves
+    continuously.  Two points that share a horizontal line for t != 0
+    share one at t = 0, so each line of L is a union of a's lines and
+    leq_et(a, L) holds.  When L != a the number of lines drops, and with
+    it the stratum dimension n + height.  Limits that leave distinct
+    points are outside the scheme the paper stratifies."""
 
     def cases():
         for n in range(2, n_max + 1):

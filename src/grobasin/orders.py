@@ -148,55 +148,51 @@ def _desc(values):
 
 
 def figure_alg(a: StandardSet, b: StandardSet):
-    """Explore every run of the column splitting game from a toward b.
+    """Every end state of the column splitting game from a toward b.
 
     Returns the set of distinct terminal SplitQuadruples.  A run carves
-    columns of b off the columns of a, one at a time; it may only carve
-    from a remainder at least as tall as the shortest unconsumed target.
+    columns of b off the columns of a, one at a time, each from a
+    remainder at least as tall, until no open column of b fits into any
+    remainder.  Where a run ends does not depend on the order of its
+    carvings: any plan of which column of a gives each carved column, none
+    giving more than its height, is carried out in any order, as a
+    column's remainder always covers what is still to be carved from it.
+    So the end states are the terminal partial fills, and one memoised
+    pass finds them: it takes b's columns tallest first, and carves each
+    from one remainder with room for it or leaves it open.  Equal
+    (original, remainder) pairs are tried once, and among equal columns
+    the open ones come last.  With nothing left open this is the fill
+    leq_punc searches, b's columns the pieces and a's the caps, so the
+    full carving is an end state exactly when leq_punc(a, b).
     """
     if a.cardinality != b.cardinality:
         raise ValueError("staircases must have equal cardinality")
-    cols_a, cols_b = a.cols(), b.cols()
+    cols_b = b.cols()
     results = set()
-    seen = set()
 
-    def explore(rem, cp):
-        # rem: sorted tuple of (original, remainder) heights; cp: asc tuple
-        # of unconsumed target columns
-        if (rem, cp) in seen:
+    @lru_cache(maxsize=None)
+    def place(k, rem, left_open):
+        # runs once per state.  b's columns before k are placed; rem: sorted
+        # tuple of (original, remainder) heights; left_open: desc tuple
+        if k == len(cols_b):
+            if not left_open or all(left < left_open[-1] for _, left in rem):
+                c1 = _desc(orig - left for orig, left in rem)
+                c2 = _desc(left for _, left in rem)
+                c1p = _unshared(cols_b, left_open)[0]
+                results.add(SplitQuadruple(c1, c2, c1p, left_open))
             return
-        seen.add((rem, cp))
-        # every open target d is >= the shortest one, so d <= left is the
-        # whole carving rule
-        targets = set(cp)
-        moves = [
-            (orig, left, d) for orig, left in set(rem) for d in targets if d <= left
-        ]
-        if not moves:
-            consumed = list(cols_b)
-            for d in cp:
-                consumed.remove(d)
-            results.add(
-                SplitQuadruple(
-                    c1=_desc(orig - left for orig, left in rem),
-                    c2=_desc(left for _, left in rem),
-                    c1p=_desc(consumed),
-                    c2p=_desc(cp),
-                )
-            )
-            return
-        for orig, left, d in moves:
-            nxt = list(rem)
-            nxt.remove((orig, left))
-            nxt.append((orig, left - d))
-            ncp = list(cp)
-            ncp.remove(d)
-            explore(tuple(sorted(nxt)), tuple(ncp))
+        d = cols_b[k]
+        # equal pairs are adjacent in rem, and only the first is tried; once
+        # a column of height d stays open, so do the rest of that height
+        if left_open[-1:] != (d,):
+            for i, (orig, left) in enumerate(rem):
+                if left < d or i and rem[i - 1] == rem[i]:
+                    continue
+                nxt = (*rem[:i], (orig, left - d), *rem[i + 1 :])
+                place(k + 1, tuple(sorted(nxt)), left_open)
+        place(k + 1, rem, left_open + (d,))
 
-    explore(
-        tuple(sorted((h, h) for h in cols_a)),
-        tuple(sorted(cols_b)),
-    )
+    place(0, tuple(sorted((h, h) for h in a.cols())), ())
     return results
 
 
@@ -592,10 +588,6 @@ def find_certificate(a: StandardSet, b: StandardSet):
     one to one with theirs, so L' <= L1 | ... | Lr <= L1 + ... + Lr.
     Adding over the b-lines gives b <= a.
     """
-    if a.cardinality != b.cardinality:
-        return None
-    if a.cardinality == 0:
-        return IncidenceCertificate(a, b, {}, {}, {})
     if not dominance(a, b):
         return None
     # a certificate pairs every factor of dec_a with one of dec_b along

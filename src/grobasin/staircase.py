@@ -18,11 +18,10 @@ from .poly import integer, one_or_two
 class StandardSet:
     """A staircase, identified by its column heights (a partition).
 
-    Row widths and the number of boxes are computed on first use and kept
-    in the `_rows` and `_cardinality` slots; equality and hashing read only
-    the column heights."""
+    Row widths are computed on first use and kept in the `_rows` slot;
+    equality and hashing read only the column heights."""
 
-    __slots__ = ("column_heights", "_rows", "_cardinality")
+    __slots__ = ("column_heights", "_rows")
 
     def __init__(self, column_heights=()):
         heights = tuple(
@@ -49,13 +48,7 @@ class StandardSet:
 
     @property
     def cardinality(self) -> int:
-        try:
-            return self._cardinality
-        except AttributeError:
-            pass
-        n = sum(self.column_heights)
-        object.__setattr__(self, "_cardinality", n)
-        return n
+        return sum(self.column_heights)
 
     @property
     def width(self) -> int:

@@ -64,6 +64,16 @@ class TestIdeal:
         assert hash(ideal) == hash(Ideal(gb.elements))
         assert Ideal(gb.elements).basis is None
 
+    def test_ideal_and_basis_are_immutable(self):
+        ideal = Ideal((P("x1"), P("x2")))
+        gb = reduced_groebner_basis(ideal)
+        for obj in (ideal, Ideal(gb), gb):
+            for name in ("_generators", "basis", "_elements", "staircase", "quotient", "other"):
+                with pytest.raises(AttributeError, match="is immutable$"):
+                    setattr(obj, name, None)
+        assert ideal.generators == (P("x1"), P("x2"))
+        assert gb.elements == (P("x2"), P("x1"))
+
 
 class TestCarriedBasis:
     def _fresh(self, ideal):
@@ -546,6 +556,12 @@ class TestPointsAndIntersections:
                 assert g.evaluate(p) == 0
         assert staircase_of(ideal).cardinality == 3
 
+    def test_empty_inputs_raise(self):
+        with pytest.raises(ValueError, match="^need at least one ideal$"):
+            intersect_comaximal([])
+        with pytest.raises(ValueError, match="^need at least one point$"):
+            vanishing_ideal([])
+
     def test_intersect_same_point_raises(self):
         with pytest.raises(ValueError):
             intersect_comaximal([point_ideal((0, 0)), point_ideal((0, 0))])
@@ -902,7 +918,11 @@ class TestTorusLimit:
     )
     def test_limits_into_another_cell_of_the_same_dimension(self, source, limit, columns, dim):
         # the family is the source with the x1*x2 coefficient sent to
-        # infinity; the limit lands in another lex cell of equal dimension
+        # infinity; the limit lands in another lex cell of equal dimension.
+        # The affine-n4 source (x2^2, x1^2 + x1*x2) is a non-reduced ideal
+        # at the origin, not n distinct points: in Hilb^4_0 its cells (2,2)
+        # and (2,1,1) have punc_dim 2 and 1, so the case is outside the
+        # distinct-point scheme the paper stratifies and breaks nothing
         ideal = parse_ideal_text(source)
         flowed = torus_limit(ideal, (1, 0))
         assert flowed.generators == parse_ideal_text(limit).generators

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -93,6 +94,20 @@ class TestArithmetic:
         p = parse_polynomial("2*x1 + 4")
         assert p.scale(Fraction(1, 2)) == parse_polynomial("x1 + 2")
         assert p.monic() == parse_polynomial("x1 + 2")
+
+    @pytest.mark.parametrize("scalar", [2, Fraction(1, 2)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_scalars_are_not_operands(self, op, scalar):
+        # + - and * take polynomials only; a scalar goes through scale
+        with pytest.raises(TypeError):
+            op(parse_polynomial("x1 + 1"), scalar)
+
+    def test_zero_has_no_leading_coefficient(self):
+        zero = Polynomial.zero()
+        with pytest.raises(ValueError, match="^the zero polynomial has no leading term$"):
+            zero.leading_coefficient()
+        with pytest.raises(ValueError, match="^cannot normalize the zero polynomial$"):
+            zero.monic()
 
     def test_term_multiple(self):
         p = parse_polynomial("x1 + 1")

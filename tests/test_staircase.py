@@ -125,12 +125,10 @@ class TestCachedRows:
     def test_cardinality_is_counted_once(self):
         for n in range(7):
             for s in enumerate_staircases(n):
-                assert not hasattr(s, "_cardinality")
                 assert s.cardinality == n == sum(s.cols())
-                assert s._cardinality == n
                 assert s.transpose().cardinality == n
 
-    # read_rows also reads the cardinality, so both lazy slots are filled
+    # read_rows fills the lazy `_rows` slot and reads the cardinality
     @pytest.mark.parametrize("read_rows", [False, True])
     @pytest.mark.parametrize("name", ["column_heights", "_rows", "_cardinality", "other"])
     def test_still_immutable(self, read_rows, name):
@@ -168,6 +166,8 @@ class TestGeometry:
         assert s.contains((0, 2))
         assert not s.contains((1, 1))
         assert not s.contains((5, 0))
+        assert not s.contains((-1, 0))
+        assert not s.contains((0, -1))
 
     def test_points_count_everywhere(self):
         for n in range(7):
@@ -343,6 +343,10 @@ class TestEnumeration:
 
     def test_zero(self):
         assert enumerate_staircases(0) == [EMPTY]
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            enumerate_staircases(-1)
 
     def test_all_distinct_and_right_size(self):
         for n in range(9):
